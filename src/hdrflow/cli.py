@@ -30,7 +30,7 @@ from .loghiggs import (INF, LogDivisor, SemistabilityVerdict,
 from .monodromy import (NilpotentOperator, monodromy_filtration,
                         verify_filtration_axioms)
 from .nearby import local_higgs_module, phi_restrict, upsilon0, z_model_compatibility
-from .p1 import P1Bundle, birkhoff_split, degree_and_slope
+from .p1 import P1Bundle, birkhoff_split, degree_and_slope, split_memo
 from .selftest import run_selftest
 from .serialize import (ParseError, laurent_str, parse_bipoly, parse_laurent,
                         parse_poly, parse_qpoly, parse_ratfun, poly_str,
@@ -592,7 +592,9 @@ COMMANDS = tuple(_HANDLERS)
 
 
 def run(cfg: RunConfig):
-    """Execute one command; returns (report, exit code)."""
+    """Execute one command; returns (report, exit code).
+
+    Certified splittings are memoized for the length of the command."""
     try:
         if cfg.guard_enum <= 0 or cfg.guard_iter <= 0:
             raise InputFault("guards must be positive", "--guard-enum")
@@ -603,7 +605,8 @@ def run(cfg: RunConfig):
                 raise InputFault(str(e), "--p")
         if cfg.command not in _HANDLERS:
             raise InputFault(f"unknown command {cfg.command!r}", "command")
-        report = _HANDLERS[cfg.command](cfg)
+        with split_memo():
+            report = _HANDLERS[cfg.command](cfg)
     except InputFault as e:
         report = {"command": cfg.command, "status": "input-error",
                   "error": str(e), "location": e.location}

@@ -33,10 +33,10 @@ from .exact.rmat import (rmat_add, rmat_deriv, rmat_from_lmat,
                          rmat_from_pmat, rmat_inverse, rmat_mul, rmat_vec)
 from .loghiggs import (HodgeSystem, LogConnectionP1, LogHiggsBundleP1,
                        _block_of, _flag_frames, _graded_semistability,
-                       _projective_reps, check_hodge_system, higgs_bundle,
-                       nilpotency_level, residue)
-from .p1 import (P1Bundle, birkhoff_split, degree_and_slope, global_sections,
-                 hn_filtration_plain, line_subbundle_degree, sub_adapted)
+                       check_hodge_system, higgs_bundle, nilpotency_level,
+                       residue)
+from .p1 import (P1Bundle, birkhoff_split, degree_and_slope,
+                 hn_filtration_plain, sub_adapted)
 
 
 # -- Simpson filtration ---------------------------------------------------------
@@ -58,7 +58,6 @@ class SimpsonReport:
     graded: HodgeSystem | None
     iterations: int
     certified: bool          # exact semistability decision available
-    alternatives: tuple = ()
 
 
 def _cols_mat(cols, r):
@@ -153,50 +152,7 @@ def _graded_of_flag(con: LogConnectionP1, flag, guard: int = 10 ** 6):
     return hs
 
 
-def _alternative_filtrations(con: LogConnectionP1, flag, limit: int = 6):
-    """Probe for contract-compliant filtrations other than the one chosen.
-
-    Rank 2 only: every line sub-bundle of degree between the slope and the
-    maximal one gives a transversal two-step filtration, compliant whenever
-    its graded object is semistable.  The first find per degree is reported;
-    the search is a disclosure, not an enumeration of all of them.
-    """
-    b = con.bundle
-    p, r = b.p, b.rank
-    if r != 2:
-        return ()
-    deg, mu = degree_and_slope(b)
-    chosen = flag[0] if flag else None
-    types, _, _ = birkhoff_split(b)
-    found = []
-    for d in range(types.entries[0], -(-deg // 2) - 1, -1):
-        secs = global_sections(b, -d)
-        if not secs:
-            continue
-        tried = 0
-        for coeffs in _projective_reps(p, len(secs)):
-            if tried >= limit:
-                break
-            tried += 1
-            s = tuple(sum((c * sec[i] for c, sec in zip(coeffs, secs)),
-                          Poly.zero(p)) for i in range(2))
-            g = s[0].gcd(s[1])
-            prim = tuple(e // g for e in s)
-            if line_subbundle_degree(b, prim) != d:
-                continue
-            cand = polymat.saturate(_cols_mat([list(prim)], 2))
-            if chosen is not None and cand == chosen:
-                continue
-            hs = _graded_of_flag(con, [cand])
-            if getattr(hs.semistability, "status", "") == "semistable":
-                found.append(f"two-step filtration through a degree-{d} "
-                             f"line sub-bundle")
-                break
-    return tuple(found)
-
-
-def simpson_filtration(con: LogConnectionP1, guard: int = 50,
-                       probe_alternatives: bool = True) -> SimpsonReport:
+def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
     b = con.bundle
     p, r = b.p, b.rank
     if r > p:
@@ -238,9 +194,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50,
     if not stable:
         return SimpsonReport("unresolved", steps, None, its, False)
     hs = _graded_of_flag(con, flag)
-    alts = (_alternative_filtrations(con, flag)
-            if probe_alternatives else ())
-    return SimpsonReport("ok", steps, hs, its, r <= 2, alts)
+    return SimpsonReport("ok", steps, hs, its, r <= 2)
 
 
 # -- flow states ----------------------------------------------------------------

@@ -16,6 +16,8 @@ U T V exactly diagonal.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,9 +263,36 @@ def _split(p: int, T):
     return [a] + [a + bq for bq in types_q], U, V
 
 
+# certified splittings by (p, T), active only inside split_memo()
+_MEMO: ContextVar[dict | None] = ContextVar("hdrflow_split_memo",
+                                            default=None)
+
+
+@contextmanager
+def split_memo():
+    """Scope inside which birkhoff_split remembers its certified results.
+
+    The memo starts empty on entry and is dropped on exit; scopes nest, and
+    an inner one does not see the outer one's entries."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def birkhoff_split(b: P1Bundle):
     """(SplittingType, U, V): U T V = diag(x^(-a_i)), U unimodular over
-    F_p[1/x], V unimodular over F_p[x]."""
+    F_p[1/x], V unimodular over F_p[x].
+
+    Inside a `split_memo()` scope a bundle equal by value to one already
+    split there returns the stored result, certified when it was computed,
+    as fresh row lists; outside any scope every call splits afresh."""
+    memo = _MEMO.get()
+    key = (b.p, b.t)
+    if memo is not None and key in memo:
+        types, U, V = memo[key]
+        return types, [list(r) for r in U], [list(r) for r in V]
     _det_or_fail(b)
     types, U, V = _split(b.p, b.matrix())
     r = b.rank
@@ -285,7 +314,10 @@ def birkhoff_split(b: P1Bundle):
             raise AssertionError(f"frame change not unimodular over {ring}")
     if types != sorted(types, reverse=True):
         raise AssertionError("splitting type came out unsorted")
-    return SplittingType(tuple(types)), U, V
+    st = SplittingType(tuple(types))
+    if memo is not None:
+        memo[key] = (st, tuple(map(tuple, U)), tuple(map(tuple, V)))
+    return st, U, V
 
 
 def global_sections(b: P1Bundle, d: int = 0):

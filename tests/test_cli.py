@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -313,3 +314,62 @@ def test_text_mode_matches_json_content(capsys):
     assert code == 0
     assert "splitting_type: [0, 0]" in out
     assert "status: pass" in out
+
+
+# -- frozen reports ---------------------------------------------------------------
+# Printed frames and flow reports, byte for byte: any change to how a bundle
+# is split must reproduce these exactly.
+
+FROZEN_SPLITS = [
+    # the non-split extension of O(1) by O(-1)
+    ({"p": 5, "rows": [["x", "1"], ["0", "x^-1"]]},
+     {"command": "split", "status": "pass", "p": 5,
+      "splitting_type": [0, 0], "degree": 0, "slope": "0",
+      "u_frame": [["1", "0"], ["x^-1", "4"]],
+      "v_frame": [["0", "1"], ["1", "4*x"]]}),
+    # O(2) + O(2) + O(-1) hidden behind random frames
+    ({"p": 97, "rows": [
+        ["94*x + 50 + 86*x^-1 + 93*x^-2 + 91*x^-3 + 77*x^-4 + 55*x^-5",
+         "96*x^-2 + 32*x^-3 + 25*x^-4 + 30*x^-5",
+         "31*x + 33 + 49*x^-1 + 95*x^-2 + 26*x^-3 + 45*x^-4 + 46*x^-5"],
+        ["54*x + 31 + 49*x^-1 + 18*x^-2", "x^-2",
+         "24*x + 3 + 11*x^-1 + 8*x^-2"],
+        ["46*x + 22 + 61*x^-1 + 74*x^-3 + 55*x^-4",
+         "75*x^-2 + 41*x^-3 + 30*x^-4",
+         "42*x + 96 + 81*x^-1 + 61*x^-2 + 76*x^-3 + 46*x^-4"]]},
+     {"command": "split", "status": "pass", "p": 97,
+      "splitting_type": [2, 2, -1], "degree": 3, "slope": "1",
+      "u_frame": [["66*x^-3", "1 + 75*x^-3 + 92*x^-4 + 12*x^-5",
+                   "93*x^-3 + 31*x^-4"],
+                  ["5*x^-3",
+                   "91 + 20*x^-1 + 17*x^-2 + 63*x^-3 + 54*x^-4 + 45*x^-5",
+                   "35 + 82*x^-3 + 92*x^-4"],
+                  ["16", "27 + 37*x^-1 + 47*x^-2", "49 + 81*x^-1"]],
+      "v_frame": [["0", "75", "72*x^3 + 82*x^2 + 16*x"],
+                  ["1", "0", "73*x^3 + 94*x^2 + 86*x"],
+                  ["0", "1", "32*x^3 + 58*x^2 + 61*x + 1"]]}),
+    ({"p": 5, "rows": [["x^7", "0"], ["0", "x^-3"]]},
+     {"command": "split", "status": "pass", "p": 5,
+      "splitting_type": [3, -7], "degree": -4, "slope": "-2",
+      "u_frame": [["0", "1"], ["1", "0"]],
+      "v_frame": [["0", "1"], ["1", "0"]]}),
+]
+
+FROZEN_FLOWS = [
+    (UNI3, "b7859c88c07bfd51887096bd9abc81440b579b2530dce49750d940763fb5d3d8"),
+    (UNI5, "477892734d2ccdad2c6782b7527accc5922ecf6513367fa6c5d895b0772a15d9"),
+]
+
+
+@pytest.mark.parametrize("doc, want", FROZEN_SPLITS)
+def test_split_report_is_frozen(capsys, doc, want):
+    code, out = run_text(capsys, "split", "--json", "--input", json.dumps(doc))
+    assert code == 0
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc, digest", FROZEN_FLOWS)
+def test_flow_report_is_frozen(capsys, doc, digest):
+    code, out = run_text(capsys, "flow", "--json", "--input", json.dumps(doc))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

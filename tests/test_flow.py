@@ -107,21 +107,6 @@ def test_simpson_rank_cap():
         simpson_filtration(con)
 
 
-def test_simpson_discloses_alternative_filtrations():
-    # on O + O any constant line gives a compliant two-step filtration
-    # next to the chosen trivial one
-    p = 3
-    div = four_points(p)
-    con = log_connection(P1Bundle.of_type(p, (0, 0)), div,
-                         [[0, rfun(p, div, 1)], [0, 0]])
-    rep = simpson_filtration(con)
-    assert rep.steps == ()
-    assert rep.alternatives
-    assert "degree-0 line" in rep.alternatives[0]
-    quiet = simpson_filtration(con, probe_alternatives=False)
-    assert quiet.alternatives == ()
-
-
 def test_simpson_graded_regrades_to_itself():
     p = 3
     div = four_points(p)

@@ -1,13 +1,16 @@
+import json
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
+from hdrflow import cli, p1
 from hdrflow.exact.laurent import Laurent
 from hdrflow.exact.lmat import lmat_det, lmat_identity, lmat_mul
 from hdrflow.exact.poly import Poly
 from hdrflow.p1 import (P1Bundle, birkhoff_split, cech_h0, degree_and_slope,
                         frobenius_pullback, global_sections,
                         hn_filtration_plain, line_subbundle_degree,
-                        max_subsheaf_degree, sub_adapted)
+                        max_subsheaf_degree, split_memo, sub_adapted)
 
 
 def random_frame(rng, p, r, side, maxdeg=2):
@@ -191,3 +194,83 @@ def test_sub_adapted_frames():
         dsub = lmat_det(ad.t_sub)
         dquot = lmat_det(ad.t_quot)
         assert -(dsub.min_exp() + dquot.min_exp()) == sum(types)
+
+
+# -- split memo -------------------------------------------------------------------
+
+def count_splits(monkeypatch):
+    """Route p1._split through a counter; returns the list of calls."""
+    calls = []
+    inner = p1._split
+
+    def counted(p, T):
+        calls.append(p)
+        return inner(p, T)
+
+    monkeypatch.setattr(p1, "_split", counted)
+    return calls
+
+
+def test_memo_splits_equal_bundles_once(monkeypatch):
+    rng = random.Random(11)
+    types, b = planted(rng, 5, 3)
+    twin = P1Bundle(5, tuple(tuple(Laurent(5, dict(e.d)) for e in row)
+                             for row in b.t))
+    assert twin == b and twin is not b
+    calls = count_splits(monkeypatch)
+    with split_memo():
+        first = birkhoff_split(b)
+        n = len(calls)
+        assert n > 0
+        assert birkhoff_split(twin) == first
+        assert len(calls) == n
+    assert tuple(first[0]) == tuple(types)
+    birkhoff_split(twin)  # outside a scope every call splits afresh
+    assert len(calls) == 2 * n
+
+
+def test_memo_hit_ignores_mutated_frames():
+    rng = random.Random(12)
+    _, b = planted(rng, 7, 2)
+    with split_memo():
+        t, U, V = birkhoff_split(b)
+        want = (t, [list(r) for r in U], [list(r) for r in V])
+        # U lives in F_p[1/x] and V in F_p[x]: these entries are new
+        U[0][0], V[1][1] = Laurent.monomial(7, 5), Laurent.monomial(7, -5)
+        V[0] = []
+        _, U2, V2 = birkhoff_split(b)
+        assert (t, U2, V2) == want
+        U2[1][0], V2[0][1] = Laurent.monomial(7, 5), Laurent.monomial(7, -5)
+        U2.append([])
+        assert birkhoff_split(b) == want
+
+
+def test_memo_scope_starts_empty_and_is_dropped(monkeypatch):
+    b = P1Bundle.of_type(3, (2, -1))
+    calls = count_splits(monkeypatch)
+    with split_memo():
+        birkhoff_split(b)
+        n = len(calls)
+        with split_memo():
+            birkhoff_split(b)
+            assert len(calls) == 2 * n
+        birkhoff_split(b)
+        assert len(calls) == 2 * n
+    assert p1._MEMO.get() is None
+    with split_memo():
+        birkhoff_split(b)
+    assert len(calls) == 3 * n
+
+
+def test_memo_leaves_flow_report_unchanged(monkeypatch):
+    doc = {"p": 5, "divisor": {"points": [0, 1, 2, "inf"]},
+           "bundle": {"type": [1, -1]},
+           "theta": [["0", "0"], ["(1)/(x^3 + 2*x^2 + 2*x)", "0"]]}
+    cfg = cli.RunConfig("flow", json.dumps(doc), None, 200000, 10, 0, "json")
+    calls = count_splits(monkeypatch)
+    scoped = cli.render(cli.run(cfg)[0], "json")
+    n = len(calls)
+    monkeypatch.setattr(cli, "split_memo", nullcontext)
+    fresh = cli.render(cli.run(cfg)[0], "json")
+    assert fresh == scoped
+    assert len(calls) - n > n  # the scope did save repeated splits
