@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .exact import matrix
 from .exact.laurent import Laurent
 from .exact.poly import Poly, RatFun
-from .exact.rmat import rmat_identity, rmat_is_zero, rmat_mul
 from .loghiggs import (INF, LogConnectionP1, LogDivisor, LogHiggsBundleP1,
                        higgs_bundle, log_connection, nilpotency_level)
 from .p1 import P1Bundle
@@ -140,16 +140,15 @@ def zeta(lift: FrobeniusLift) -> ZetaMap:
 def _exp_nilpotent(p: int, tau):
     """Sum of tau^i / i! over i < p, exact when tau^p = 0."""
     r = len(tau)
-    out = rmat_identity(p, r)
-    power = rmat_identity(p, r)
+    out = matrix.identity(RatFun, p, r)
+    power = matrix.identity(RatFun, p, r)
     fact = 1
     for i in range(1, p):
-        power = rmat_mul(power, tau)
+        power = matrix.mul(power, tau)
         fact = fact * i % p
         inv = pow(fact, p - 2, p)
-        out = [[out[a][b] + RatFun.const(p, inv) * power[a][b]
-                for b in range(r)] for a in range(r)]
-    if not rmat_is_zero(rmat_mul(power, tau)):
+        out = matrix.add(out, matrix.scale(RatFun.const(p, inv), power))
+    if not matrix.is_zero(matrix.mul(power, tau)):
         raise ValueError("tau^p is nonzero; exponential truncation invalid")
     return out
 

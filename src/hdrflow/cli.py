@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from .cartier import inverse_cartier, p_curvature
 from .chern import ChernData, GradedRing, check_equivalence, higher_discriminants
+from .exact import matrix
 from .exact.poly import Poly, RatFun
 from .exact.rings import check_prime
-from .exact.rmat import rmat_eq
 from .flow import detect_periodicity
 from .loghiggs import (INF, LogDivisor, SemistabilityVerdict,
                        _graded_semistability, higgs_bundle, log_connection,
@@ -462,7 +462,7 @@ def _cmd_cartier(cfg: RunConfig) -> dict:
                  for pt in hb.divisor.points)
     psi = p_curvature(con)
     mlog = [[-(RatFun.x(p) * e).dilate(p) for e in row] for row in hb.theta0]
-    psi_ok = rmat_eq(psi, mlog)
+    psi_ok = matrix.eq(psi, mlog)
     lv = nilpotency_level(psi)
     lv_ok = lv is not None and lv <= p - 1
     checks = {"degree_scaling": vd == p * ed,

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: F_p, polynomials, rational functions,
-Laurent/bivariate polynomials, field linear algebra and Smith forms over
-F_p[y]."""
+Laurent/bivariate polynomials, dense matrices over any of them, field linear
+algebra and Smith forms over F_p[y]."""
 from .rings import Fp, QQ, ObjField, check_prime, SUPPORTED_PRIMES
 from .poly import Poly, RatFun
 from .laurent import Laurent

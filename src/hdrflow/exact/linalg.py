@@ -24,21 +24,6 @@ def identity(F, n):
     return M
 
 
-def mat_add(F, A, B):
-    return [[F.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-def mat_sub(F, A, B):
-    return [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(F, A):
-    return [[F.neg(a) for a in row] for row in A]
-
-
-def mat_scal(F, c, A):
-    return [[F.mul(c, a) for a in row] for row in A]
-
-
 def mat_mul(F, A, B):
     n, k = mat_shape(A)
     k2, m = mat_shape(B)
@@ -60,16 +45,6 @@ def mat_mul(F, A, B):
 
 def mat_vec(F, A, v):
     return [c[0] for c in mat_mul(F, A, [[x] for x in v])]
-
-
-def mat_eq(F, A, B):
-    if mat_shape(A) != mat_shape(B):
-        return False
-    return all(F.eq(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_is_zero(F, A):
-    return all(F.is_zero(a) for row in A for a in row)
 
 
 def transpose(M):
@@ -185,15 +160,11 @@ def det(F, M):
 
 # -- subspaces (row-span convention, canonical rref bases) ------------------
 
-def span_basis(F, vectors, m=None):
+def span_basis(F, vectors):
     if not vectors:
         return []
     R, piv = rref(F, vectors)
     return R[:len(piv)]
-
-
-def subspace_sum(F, A, B, m=None):
-    return span_basis(F, list(A) + list(B))
 
 
 def subspace_contains(F, A, v) -> bool:

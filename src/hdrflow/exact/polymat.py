@@ -9,74 +9,14 @@ manipulate subbundles.
 from __future__ import annotations
 
 from .poly import Poly, RatFun
-from . import linalg
+from . import matrix
 from .rings import ObjField
-
-
-def pzero(p):
-    return Poly.zero(p)
-
-
-def pmat_shape(M):
-    return len(M), len(M[0]) if M else 0
-
-
-def pmat_identity(p, n):
-    return [[Poly.one(p) if i == j else Poly.zero(p) for j in range(n)] for i in range(n)]
-
-
-def pmat_mul(A, B):
-    n, k = pmat_shape(A)
-    k2, m = pmat_shape(B)
-    if k != k2:
-        raise ValueError("shape mismatch")
-    if n == 0 or m == 0 or k == 0:
-        p = (A[0][0].p if n and k else B[0][0].p)
-        return [[Poly.zero(p)] * m for _ in range(n)]
-    p = A[0][0].p
-    out = [[Poly.zero(p) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if not a.is_zero():
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(m):
-                    if not Bt[j].is_zero():
-                        Oi[j] = Oi[j] + a * Bt[j]
-    return out
-
-
-def pmat_eq(A, B):
-    return pmat_shape(A) == pmat_shape(B) and all(
-        a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def pmat_det(M) -> Poly:
-    n, m = pmat_shape(M)
-    if n != m:
-        raise ValueError("not square")
-    if n == 0:
-        raise ValueError("empty matrix")
-    p = M[0][0].p
-    if n == 1:
-        return M[0][0]
-    # fraction-free Laplace along the first row; matrix sizes here are tiny
-    d = Poly.zero(p)
-    for j in range(n):
-        a = M[0][j]
-        if a.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = a * pmat_det(minor)
-        d = d + term if j % 2 == 0 else d - term
-    return d
 
 
 def is_unimodular(M) -> bool:
     """Invertible over F_p[y]: det a nonzero constant."""
     try:
-        d = pmat_det(M)
+        d = matrix.det(M)
     except ValueError:
         return False
     return (not d.is_zero()) and d.is_constant()
@@ -84,21 +24,12 @@ def is_unimodular(M) -> bool:
 
 def pmat_inverse(M):
     """Inverse of a unimodular matrix (adjugate / det)."""
-    n, _ = pmat_shape(M)
-    d = pmat_det(M)
+    d = matrix.det(M)
     if d.is_zero() or not d.is_constant():
         raise ValueError("matrix is not unimodular")
-    p = M[0][0].p
-    dinv = pow(d[0], p - 2, p)
-    out = [[Poly.zero(p) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j]
-            cof = pmat_det(minor) if minor else Poly.one(p)
-            if (i + j) % 2:
-                cof = -cof
-            out[i][j] = cof * dinv
-    return out
+    p = d.p
+    dinv = Poly.const(p, pow(d[0], p - 2, p))
+    return matrix.scale(dinv, matrix.adjugate(M))
 
 
 def smith_normal_form(M):
@@ -107,13 +38,13 @@ def smith_normal_form(M):
     S is diagonal with monic entries s_1 | s_2 | ..., U and V unimodular.
     Deterministic pivoting: least degree, then row, then column.
     """
-    n, m = pmat_shape(M)
+    n, m = matrix.shape(M)
     if n == 0 or m == 0:
         return [], [list(r) for r in M], []
     p = M[0][0].p
     A = [list(row) for row in M]
-    U = pmat_identity(p, n)
-    V = pmat_identity(p, m)
+    U = matrix.identity(Poly, p, n)
+    V = matrix.identity(Poly, p, m)
 
     def row_op(i, j, f):  # row_i += f * row_j  (on A and U)
         A[i] = [a + f * b for a, b in zip(A[i], A[j])]
@@ -194,17 +125,13 @@ def smith_normal_form(M):
 
 def smith_diagonal(M):
     _, S, _ = smith_normal_form(M)
-    n, m = pmat_shape(S)
+    n, m = matrix.shape(S)
     return [S[i][i] for i in range(min(n, m))]
-
-
-def pmat_rank(M) -> int:
-    return sum(1 for s in smith_diagonal(M) if not s.is_zero())
 
 
 def kernel_saturated(M):
     """Basis (list of column vectors) of ker(M) in F_p[y]^m; free & saturated."""
-    n, m = pmat_shape(M)
+    n, m = matrix.shape(M)
     U, S, V = smith_normal_form(M)
     r = sum(1 for i in range(min(n, m)) if not S[i][i].is_zero())
     return [[V[row][j] for row in range(m)] for j in range(r, m)]
@@ -215,7 +142,7 @@ def saturate(generators):
 
     Returns a free basis (columns) of {v : f*v in span for some f != 0}.
     """
-    n, m = pmat_shape(generators)
+    n, m = matrix.shape(generators)
     if m == 0:
         return []
     U, S, V = smith_normal_form(generators)
@@ -226,7 +153,7 @@ def saturate(generators):
 
 def solve_over_ring(M, b):
     """One solution x of M x = b over F_p[y], or None when unsolvable."""
-    n, m = pmat_shape(M)
+    n, m = matrix.shape(M)
     p = M[0][0].p
     U, S, V = smith_normal_form(M)
     c = [sum((U[i][j] * b[j] for j in range(n)), Poly.zero(p)) for i in range(n)]
@@ -288,22 +215,13 @@ def complete_unimodular(basis_cols, n):
             raise ValueError("basis is not saturated/free")
     Uinv = pmat_inverse(U)
     # columns: images of the basis (span preserved) then fresh directions
-    first = pmat_mul(M, V)
+    first = matrix.mul(M, V)
     cols = [[first[i][j] for i in range(n)] for j in range(k)]
     cols += [[Uinv[i][j] for i in range(n)] for j in range(k, n)]
     out = [[cols[j][i] for j in range(n)] for i in range(n)]
     if not is_unimodular(out):
         raise AssertionError("completion failed unimodularity check")
     return out
-
-
-def pmat_from_int(p, M):
-    return [[Poly.const(p, a) for a in row] for row in M]
-
-
-def pmat_rank_fraction_field(M) -> int:
-    """Rank over F_p(y) (equals Smith rank; kept for clarity at call sites)."""
-    return pmat_rank(M)
 
 
 def ratfun_field(p):

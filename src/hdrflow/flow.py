@@ -21,16 +21,16 @@ from fractions import Fraction
 from itertools import product
 
 from .cartier import canonical_lift, inverse_cartier
-from .exact import polymat
+from .exact import matrix, polymat
 from .exact.laurent import Laurent
 from .exact.linalg import det as fp_det
 from .exact.linalg import kernel_basis
 from .exact.linalg import rank as fp_rank
-from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly, lmat_mul
+from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly
 from .exact.poly import Poly, RatFun
 from .exact.rings import Fp
-from .exact.rmat import (rmat_add, rmat_deriv, rmat_from_lmat,
-                         rmat_from_pmat, rmat_inverse, rmat_mul, rmat_vec)
+from .exact.rmat import (rmat_deriv, rmat_from_lmat, rmat_from_pmat,
+                         rmat_inverse)
 from .loghiggs import (HodgeSystem, LogConnectionP1, LogHiggsBundleP1,
                        _block_of, _flag_frames, _graded_semistability,
                        check_hodge_system, higgs_bundle, nilpotency_level,
@@ -71,7 +71,7 @@ def _nabla_image(con: LogConnectionP1, cols):
     a0 = [list(row) for row in con.a0]
     out = []
     for s in cols:
-        w = rmat_vec(a0, [RatFun(e) for e in s])
+        w = matrix.vec(a0, [RatFun(e) for e in s])
         img = []
         for e, we in zip(s, w):
             f = bnd * (RatFun(e.deriv()) + we)
@@ -105,11 +105,11 @@ def _graded_of_flag(con: LogConnectionP1, flag, guard: int = 10 ** 6):
     cuts = [0] + [len(F) for F in flag] + [r]
     B0, B1y = _flag_frames(b, [[tuple(c) for c in F] for F in flag])
     B1inv = lmat_from_ypoly(polymat.pmat_inverse([list(rw) for rw in B1y]))
-    Tt = lmat_mul(B1inv, lmat_mul(b.matrix(), lmat_from_xpoly(B0)))
+    Tt = matrix.mul(B1inv, matrix.mul(b.matrix(), lmat_from_xpoly(B0)))
     B0r = rmat_from_pmat(B0)
-    a_ad = rmat_mul(rmat_inverse(B0r),
-                    rmat_add(rmat_mul([list(rw) for rw in con.a0], B0r),
-                             rmat_deriv(B0r)))
+    a_ad = matrix.mul(rmat_inverse(B0r),
+                      matrix.add(matrix.mul([list(rw) for rw in con.a0], B0r),
+                                 rmat_deriv(B0r)))
     for i in range(r):
         for j in range(r):
             bi, bj = _block_of(cuts, i), _block_of(cuts, j)
@@ -144,7 +144,7 @@ def _graded_of_flag(con: LogConnectionP1, flag, guard: int = 10 ** 6):
             for bj, j in enumerate(rng):
                 wrows[i][j] = Vk[bi][bj].to_poly_x()
     w0 = rmat_from_pmat(wrows)
-    th = rmat_mul(rmat_inverse(w0), rmat_mul(th, w0))
+    th = matrix.mul(rmat_inverse(w0), matrix.mul(th, w0))
     graded = higgs_bundle(P1Bundle.of_type(p, tuple(entries)),
                           con.divisor, th)
     hs = HodgeSystem(graded, ranks, _graded_semistability(graded, guard))
@@ -271,8 +271,8 @@ def splitting_bound(rank: int, divisor) -> Fraction:
 
 def _split_frame_field(hb: LogHiggsBundleP1, V):
     Vr = rmat_from_lmat(V)
-    return rmat_mul(rmat_mul(rmat_inverse(Vr),
-                             [list(row) for row in hb.theta0]), Vr)
+    return matrix.mul(matrix.mul(rmat_inverse(Vr),
+                                 [list(row) for row in hb.theta0]), Vr)
 
 
 def higgs_isomorphic(h1: LogHiggsBundleP1, h2: LogHiggsBundleP1,

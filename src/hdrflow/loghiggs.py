@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .exact import linalg, polymat
+from .exact import linalg, matrix, polymat
 from .exact.laurent import Laurent
-from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly, lmat_mul
+from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly
 from .exact.poly import Poly, RatFun
 from .exact.rmat import (rmat_clear_cols, rmat_clear_rows, rmat_deriv,
-                         rmat_from_lmat, rmat_from_pmat, rmat_identity,
-                         rmat_inverse, rmat_is_zero, rmat_mul, rmat_scale,
-                         rmat_sub, rmat_subst_inv, rmat_vec)
+                         rmat_from_lmat, rmat_from_pmat, rmat_inverse,
+                         rmat_subst_inv)
 from .p1 import (P1Bundle, degree_and_slope, birkhoff_split, global_sections,
                  hn_filtration_plain, line_subbundle_degree,
                  max_subsheaf_degree, sub_adapted)
@@ -147,11 +146,11 @@ def _chart1_gauge(bundle: P1Bundle, m0, with_frame_term: bool):
     p = bundle.p
     T = rmat_from_lmat(bundle.matrix())
     Tinv = rmat_inverse(T)
-    G = rmat_mul(rmat_mul(T, m0), Tinv)
+    G = matrix.mul(matrix.mul(T, m0), Tinv)
     if with_frame_term:
-        G = rmat_sub(G, rmat_mul(rmat_deriv(T), Tinv))
+        G = matrix.sub(G, matrix.mul(rmat_deriv(T), Tinv))
     neg_x2 = RatFun(Poly(p, (0, 0, -1)))
-    return rmat_subst_inv(rmat_scale(neg_x2, G))
+    return rmat_subst_inv(matrix.scale(neg_x2, G))
 
 
 def _freeze(M):
@@ -275,10 +274,10 @@ def nilpotency_level(obj, p: int | None = None):
                 raise ValueError("a prime is required for integer matrices")
             return _int_nilpotency(rows, p)
     n = len(M)
-    power = rmat_identity(p, n)
+    power = matrix.identity(RatFun, p, n)
     for e in range(1, n + 1):
-        power = rmat_mul(power, M)
-        if rmat_is_zero(power):
+        power = matrix.mul(power, M)
+        if matrix.is_zero(power):
             return e - 1
     return None
 
@@ -350,7 +349,7 @@ def is_semistable_rank2(hb: LogHiggsBundleP1,
         for coeffs in _projective_reps(p, k):
             s = tuple(sum((c * sec[i] for c, sec in zip(coeffs, secs)),
                           Poly.zero(p)) for i in range(2))
-            ts = rmat_vec(th, [RatFun(s[0]), RatFun(s[1])])
+            ts = matrix.vec(th, [RatFun(s[0]), RatFun(s[1])])
             if RatFun(s[0]) * ts[1] != RatFun(s[1]) * ts[0]:
                 continue
             g = s[0].gcd(s[1])
@@ -403,7 +402,7 @@ def _theta_invariant(p, th, cols) -> bool:
     span = [[RatFun(cols[c][i]) for c in range(len(cols))]
             for i in range(len(cols[0]))]
     for col in cols:
-        img = rmat_vec(th, [RatFun(e) for e in col])
+        img = matrix.vec(th, [RatFun(e) for e in col])
         if not linalg.solve_linear(F, span, img).consistent:
             return False
     return True
@@ -440,7 +439,7 @@ def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
     images = []
     power = [list(row) for row in hb.theta0]
     for k in range(1, r + 1):
-        if rmat_is_zero(power):
+        if matrix.is_zero(power):
             break
         K = polymat.kernel_saturated(rmat_clear_rows(power))
         if K:
@@ -450,7 +449,7 @@ def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
         if I:
             images.append(I)
             add(I, f"im theta^{k}")
-        power = rmat_mul(power, th)
+        power = matrix.mul(power, th)
     for j, step in enumerate(hn_filtration_plain(b).steps[:-1]):
         cols = polymat.saturate([[step.basis[c][i] for c in range(step.rank)]
                                  for i in range(r)])
@@ -515,10 +514,7 @@ def _flag_frames(b: P1Bundle, flag):
     triangular with respect to every cut."""
     p, r = b.p, b.rank
     if not flag:
-        return ([[Poly.one(p) if i == j else Poly.zero(p) for j in range(r)]
-                 for i in range(r)]), \
-               ([[Poly.one(p) if i == j else Poly.zero(p) for j in range(r)]
-                 for i in range(r)])
+        return matrix.identity(Poly, p, r), matrix.identity(Poly, p, r)
     head = flag[0]
     fr = sub_adapted(b, [tuple(col) for col in head])
     s = fr.sub_rank
@@ -527,17 +523,13 @@ def _flag_frames(b: P1Bundle, flag):
     tail = []
     for step in flag[1:]:
         mat = [[step[c][i] for c in range(len(step))] for i in range(r)]
-        X = polymat.pmat_mul(b0inv, mat)
+        X = matrix.mul(b0inv, mat)
         tail.append(polymat.saturate([X[i] for i in range(s, r)]))
     C0, C1y = _flag_frames(bq, tail)
-    B0 = polymat.pmat_mul([list(row) for row in fr.b0],
-                          _pblockdiag(p, [[Poly.one(p) if i == j else
-                                           Poly.zero(p) for j in range(s)]
-                                          for i in range(s)], C0))
-    B1y = polymat.pmat_mul([list(row) for row in fr.b1y],
-                           _pblockdiag(p, [[Poly.one(p) if i == j else
-                                            Poly.zero(p) for j in range(s)]
-                                           for i in range(s)], C1y))
+    B0 = matrix.mul([list(row) for row in fr.b0],
+                    _pblockdiag(p, matrix.identity(Poly, p, s), C0))
+    B1y = matrix.mul([list(row) for row in fr.b1y],
+                     _pblockdiag(p, matrix.identity(Poly, p, s), C1y))
     return B0, B1y
 
 
@@ -571,15 +563,15 @@ def griffiths_grading(hb: LogHiggsBundleP1,
             raise ValueError("higgs field is not nilpotent")
         flag.append(K)
         prev = len(K)
-        power = rmat_mul(th, power)
+        power = matrix.mul(th, power)
     cuts = [0] + [len(K) for K in flag] + [r]
     piece_ranks = tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
 
     B0, B1y = _flag_frames(b, flag)
     B1inv = lmat_from_ypoly(polymat.pmat_inverse(B1y))
-    Tt = lmat_mul(B1inv, lmat_mul(b.matrix(), lmat_from_xpoly(B0)))
+    Tt = matrix.mul(B1inv, matrix.mul(b.matrix(), lmat_from_xpoly(B0)))
     B0r = rmat_from_pmat(B0)
-    th_ad = rmat_mul(rmat_inverse(B0r), rmat_mul(th, B0r))
+    th_ad = matrix.mul(rmat_inverse(B0r), matrix.mul(th, B0r))
     for i in range(r):
         for j in range(r):
             bi, bj = _block_of(cuts, i), _block_of(cuts, j)

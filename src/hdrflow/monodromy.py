@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import linalg
-from .exact import polymat
+from .exact import linalg, matrix, polymat
 from .exact.poly import Poly
 from .exact.rings import Fp, check_prime
 
@@ -62,9 +61,9 @@ def _power_chain(op: NilpotentOperator):
     n = op.dim
     M = op.matrix()
     if op.over_ring:
-        I = polymat.pmat_identity(op.p, n)
-        mul = polymat.pmat_mul
-        is_zero = lambda A: all(a.is_zero() for r in A for a in r)
+        I = matrix.identity(Poly, op.p, n)
+        mul = matrix.mul
+        is_zero = matrix.is_zero
     else:
         F = Fp(op.p)
         I = linalg.identity(F, n)
@@ -298,7 +297,7 @@ def _invertible_graded(op, mat, nsrc, ndst) -> bool:
     if nsrc == 0:
         return True
     if op.over_ring:
-        return not polymat.pmat_det(mat).is_zero()
+        return not matrix.det(mat).is_zero()
     return linalg.rank(Fp(op.p), mat) == nsrc
 
 
@@ -533,7 +532,7 @@ def primitive_decomposition(op: NilpotentOperator, filt: WeightFiltration,
                 coords.append(x[len(filt.basis_at(w - 1)):])
             if ok and total == g:
                 M = [[coords[c][r] for c in range(total)] for r in range(g)]
-                ind = g == 0 or not polymat.pmat_det(M).is_zero()
+                ind = g == 0 or not matrix.det(M).is_zero()
             else:
                 ind = total == 0 and g == 0
         else:
@@ -624,7 +623,7 @@ def conjugate(op: NilpotentOperator, g) -> NilpotentOperator:
               for r in g]
         gi = polymat.pmat_inverse(gp)
         return NilpotentOperator.from_polys(
-            op.p, polymat.pmat_mul(polymat.pmat_mul(gp, op.matrix()), gi))
+            op.p, matrix.mul(matrix.mul(gp, op.matrix()), gi))
     F = Fp(op.p)
     gi = linalg.inverse(F, [list(r) for r in g])
     return NilpotentOperator.from_ints(

@@ -23,40 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exact import matrix
 from .exact.bipoly import BiPoly
 from .exact.poly import Poly
 from .exact.polymat import (complete_unimodular, is_unimodular, pmat_inverse,
-                            pmat_mul, solve_over_ring)
+                            solve_over_ring)
 from .monodromy import (NilpotentOperator, monodromy_filtration,
                         verify_filtration_axioms)
 
 
-# -- small matrix helpers (entries BiPoly or Poly; shape-checked by use) ------
+# -- small matrix helpers (entries BiPoly or Poly) -----------------------------
 
 def _mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def _mmul(A, B, zero):
-    n, k, m = len(A), len(B), len(B[0])
-    return _mat([[sum((A[i][t] * B[t][j] for t in range(k)), zero)
-                  for j in range(m)] for i in range(n)])
-
-
-def _msub(A, B):
-    return _mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def _madd(A, B):
-    return _mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def _mzero(M):
-    return all(e.is_zero() for row in M for e in row)
-
-
-def _commutator(A, B, zero):
-    return _msub(_mmul(A, B, zero), _mmul(B, A, zero))
+def _commutator(A, B):
+    return matrix.sub(matrix.mul(A, B), matrix.mul(B, A))
 
 
 def _to_bmat(p, rows, r):
@@ -155,7 +138,7 @@ def local_higgs_module(p, theta_x, theta_y, y_log=False) -> LocalLogHiggsModule:
     r = len(theta_x)
     tx = _to_bmat(p, theta_x, r)
     ty = _to_bmat(p, theta_y, r)
-    if not _mzero(_commutator(tx, ty, BiPoly.zero(p))):
+    if not matrix.is_zero(_commutator(tx, ty)):
         raise ValueError("field components do not commute")
     return LocalLogHiggsModule(p, r, tx, ty, bool(y_log))
 
@@ -166,10 +149,10 @@ def local_log_connection(p, a_x, a_y, y_log=False) -> LocalLogConnection:
     r = len(a_x)
     ax = _to_bmat(p, a_x, r)
     ay = _to_bmat(p, a_y, r)
-    lhs = _msub(_mat([[e.deriv_u().mul_u() for e in row] for row in ay]),
-                _delta_y(ax, y_log))
-    lhs = _madd(lhs, _commutator(ax, ay, BiPoly.zero(p)))
-    if not _mzero(lhs):
+    lhs = matrix.sub([[e.deriv_u().mul_u() for e in row] for row in ay],
+                     _delta_y(ax, y_log))
+    lhs = matrix.add(lhs, _commutator(ax, ay))
+    if not matrix.is_zero(lhs):
         raise ValueError("connection is not flat on the chart")
     return LocalLogConnection(p, r, ax, ay, bool(y_log))
 
@@ -178,7 +161,7 @@ def ly0_module(p, r_op, theta_op, y_log=False) -> LY0Module:
     r = len(r_op)
     R = _to_ymat(p, r_op, r)
     T = _to_ymat(p, theta_op, r)
-    if not _mzero(_commutator(R, T, Poly.zero(p))):
+    if not matrix.is_zero(_commutator(R, T)):
         raise ValueError("restricted operators do not commute")
     return LY0Module(p, r, R, T, bool(y_log))
 
@@ -187,8 +170,8 @@ def ly_module(p, r_op, b_op, y_log=False) -> LYModule:
     r = len(r_op)
     R = _to_ymat(p, r_op, r)
     B = _to_ymat(p, b_op, r)
-    probe = _msub(_delta_y(R, y_log), _commutator(R, B, Poly.zero(p)))
-    if not _mzero(probe):
+    probe = matrix.sub(_delta_y(R, y_log), _commutator(R, B))
+    if not matrix.is_zero(probe):
         raise ValueError("residue operator is not flat for the connection")
     return LYModule(p, r, R, B, bool(y_log))
 
@@ -217,12 +200,12 @@ def residue_endomorphism(m):
     on monomial vectors as the cheapest possible self-audit."""
     p, r = m.p, m.rank
     if isinstance(m, LY0Module):
-        if not _mzero(_commutator(m.r_op, m.theta_op, Poly.zero(p))):
+        if not matrix.is_zero(_commutator(m.r_op, m.theta_op)):
             raise ValueError("residue does not commute with the y-operator")
     elif isinstance(m, LYModule):
-        probe = _msub(_delta_y(m.r_op, m.y_log),
-                      _commutator(m.r_op, m.b_op, Poly.zero(p)))
-        if not _mzero(probe):
+        probe = matrix.sub(_delta_y(m.r_op, m.y_log),
+                           _commutator(m.r_op, m.b_op))
+        if not matrix.is_zero(probe):
             raise ValueError("residue does not commute with the connection")
     else:
         raise TypeError(f"no residue endomorphism on {type(m).__name__}")
@@ -230,8 +213,7 @@ def residue_endomorphism(m):
     for j in range(r):
         for f in (Poly.one(p), y, y * y):
             v = [f if i == j else Poly.zero(p) for i in range(r)]
-            image = [sum((m.r_op[i][t] * v[t] for t in range(r)),
-                         Poly.zero(p)) for i in range(r)]
+            image = matrix.vec(m.r_op, v)
             scaled = [f * m.r_op[i][j] for i in range(r)]
             assert image == scaled, "matrix action failed O-linearity"
     return m.r_op
@@ -307,7 +289,7 @@ def upsilon0(m: LY0Module) -> Upsilon0Data:
             ext_cols = coords + [[comp[i][j] for i in range(nw)]
                                  for j in range(len(cols), nw)]
             ext = [[ext_cols[j][i] for j in range(nw)] for i in range(nw)]
-            frame_w = pmat_mul(bw, ext)
+            frame_w = matrix.mul(bw, ext)
             cols = [[frame_w[i][j] for i in range(r)] for j in range(nw)]
         else:
             cols = [list(c) for c in basis]
@@ -316,8 +298,8 @@ def upsilon0(m: LY0Module) -> Upsilon0Data:
     if not is_unimodular(G):
         raise AssertionError("adapted frame is not unimodular")
     gi = pmat_inverse(G)
-    rt = pmat_mul(pmat_mul(gi, [list(rw) for rw in m.r_op]), G)
-    tt = pmat_mul(pmat_mul(gi, [list(rw) for rw in m.theta_op]), G)
+    rt = matrix.mul(matrix.mul(gi, [list(rw) for rw in m.r_op]), G)
+    tt = matrix.mul(matrix.mul(gi, [list(rw) for rw in m.theta_op]), G)
     # the y-operator must respect the weight steps (it commutes with R)
     for wi in range(len(weights)):
         for a in range(cuts[wi + 1], r):
@@ -330,7 +312,7 @@ def upsilon0(m: LY0Module) -> Upsilon0Data:
         if hi == lo:
             continue
         rblock = [[rt[i][j] for j in range(lo, hi)] for i in range(lo, hi)]
-        if not all(x.is_zero() for row in rblock for x in row):
+        if not matrix.is_zero(rblock):
             raise AssertionError("graded residue is nonzero")
         tblock = [[tt[i][j] for j in range(lo, hi)] for i in range(lo, hi)]
         piece = ly0_module(p, rblock, tblock, m.y_log)
@@ -356,22 +338,22 @@ def pair_nilpotency_level(m: LocalLogHiggsModule):
     """Least l such that every product theta_x^a theta_y^b with
     a + b = l + 1 vanishes, or None when the pair is not nilpotent."""
     p, r = m.p, m.rank
-    zero = BiPoly.zero(p)
 
     def mpow(M, k):
-        out = _mat([[BiPoly.one(p) if i == j else zero for j in range(r)]
-                    for i in range(r)])
+        out = matrix.identity(BiPoly, p, r)
         for _ in range(k):
-            out = _mmul(out, M, zero)
+            out = matrix.mul(out, M)
         return out
 
-    if not _mzero(mpow(m.theta_x, r)) or not _mzero(mpow(m.theta_y, r)):
+    if not (matrix.is_zero(mpow(m.theta_x, r))
+            and matrix.is_zero(mpow(m.theta_y, r))):
         return None
     for lv in range(2 * r - 1):
         ok = True
         for a in range(lv + 2):
             b = lv + 1 - a
-            if not _mzero(_mmul(mpow(m.theta_x, a), mpow(m.theta_y, b), zero)):
+            if not matrix.is_zero(matrix.mul(mpow(m.theta_x, a),
+                                             mpow(m.theta_y, b))):
                 ok = False
                 break
         if ok:

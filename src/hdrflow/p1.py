@@ -21,11 +21,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import linalg, polymat
+from .exact import linalg, matrix, polymat
 from .exact.laurent import Laurent
-from .exact.lmat import (lmat, lmat_det, lmat_eq, lmat_from_xpoly,
-                         lmat_from_ypoly, lmat_identity, lmat_mul, lmat_scale,
-                         lmat_shape, lmat_to_xpoly, lmat_to_ypoly, lmat_vec)
+from .exact.lmat import lmat, lmat_from_xpoly, lmat_from_ypoly
 from .exact.poly import Poly
 from .exact.rings import Fp, check_prime
 
@@ -88,7 +86,7 @@ class P1Bundle:
 
 
 def _det_or_fail(b: P1Bundle) -> Laurent:
-    d = lmat_det(b.matrix())
+    d = matrix.det(b.matrix())
     if not d.is_unit():
         from .serialize import laurent_str
         raise ValueError("transition matrix is not invertible over "
@@ -109,21 +107,6 @@ def frobenius_pullback(b: P1Bundle) -> P1Bundle:
 
 # ------------------------------------------------------------ section probe
 
-def _adjugate(M):
-    n, _ = lmat_shape(M)
-    p = M[0][0].p
-    if n == 1:
-        return [[Laurent.one(p)]]
-    adj = [[Laurent.zero(p) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = lmat_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 def _section_basis(p: int, T, m: int):
     """Chart-0 polynomial vectors s with (T x^(-m)) s regular on chart 1.
 
@@ -131,13 +114,13 @@ def _section_basis(p: int, T, m: int):
     x-degree of any section, so the condition "no positive exponents after
     crossing charts" is a finite F_p-linear system.
     """
-    r, _ = lmat_shape(T)
+    r, _ = matrix.shape(T)
     Tm = [[a.shift(-m) for a in row] for row in T]
-    det = lmat_det(Tm)
+    det = matrix.det(Tm)
     if not det.is_unit():
         raise ValueError("transition matrix is not invertible")
     ((k, _),) = det.d.items()
-    adj = _adjugate(Tm)
+    adj = matrix.adjugate(Tm)
     exps = [a.max_exp() for row in adj for a in row if not a.is_zero()]
     if not exps:
         return []
@@ -197,8 +180,8 @@ def _complete_frame(cols, r):
 def _split(p: int, T):
     """(type list desc, U, V) with U T V = diag(x^(-a_i)); U over F_p[1/x],
     V over F_p[x], both unimodular."""
-    r, _ = lmat_shape(T)
-    det = lmat_det(T)
+    r, _ = matrix.shape(T)
+    det = matrix.det(T)
     if not det.is_unit():
         raise ValueError("transition matrix is not invertible")
     ((k, c),) = det.d.items()
@@ -207,30 +190,32 @@ def _split(p: int, T):
         return [-k], [[cinv]], [[Laurent.one(p)]]
     deg = -k
     a = -((-deg) // r)  # ceil(deg / r) <= max a_i
-    if not _section_basis(p, T, -a):
+    secs = _section_basis(p, T, -a)
+    if not secs:
         raise AssertionError("section probe empty at the slope twist")
     for _ in range(10000):
-        if _section_basis(p, T, -a - 1):
-            a += 1
-        else:
+        higher = _section_basis(p, T, -a - 1)
+        if not higher:
             break
+        secs = higher
+        a += 1
     else:
         raise AssertionError("maximal twist scan failed to terminate")
-    s0 = _section_basis(p, T, -a)[0]
+    s0 = secs[0]
     g = s0[0]
     for e in s0[1:]:
         g = g.gcd(e)
     if g.degree > 0:
         raise AssertionError("maximal section is not primitive on chart 0")
     Ta = [[entry.shift(a) for entry in row] for row in T]
-    s1 = lmat_vec(Ta, [Laurent.from_poly(q) for q in s0])
+    s1 = matrix.vec(Ta, [Laurent.from_poly(q) for q in s0])
     if max(e.max_exp() for e in s1 if not e.is_zero()) != 0:
         raise AssertionError("maximal section is not primitive on chart 1")
     B0 = _complete_frame([[s0[i] for i in range(r)]], r)
     s1y = [e.to_poly_z() for e in s1]
     B1y = _complete_frame([s1y], r)
     B1inv = lmat_from_ypoly(polymat.pmat_inverse(B1y))
-    T1 = lmat_mul(B1inv, lmat_mul(Ta, lmat_from_xpoly(B0)))
+    T1 = matrix.mul(B1inv, matrix.mul(Ta, lmat_from_xpoly(B0)))
     for i in range(r):
         want = Laurent.one(p) if i == 0 else Laurent.zero(p)
         if T1[i][0] != want:
@@ -239,25 +224,21 @@ def _split(p: int, T):
     types_q, Uq, Vq = _split(p, Tq)
     if any(bq > 0 for bq in types_q):
         raise AssertionError("quotient of the maximal twist has positive degree")
-    w = [T1[0][j] for j in range(1, r)]
-    wp = [Laurent.zero(p) for _ in range(r - 1)]
-    for j in range(r - 1):
-        for t in range(r - 1):
-            wp[j] = wp[j] + w[t] * Vq[t][j]
-    R = lmat_identity(p, r)
-    C = lmat_identity(p, r)
+    (wp,) = matrix.mul([T1[0][1:]], Vq)
+    R = matrix.identity(Laurent, p, r)
+    C = matrix.identity(Laurent, p, r)
     for j, bq in enumerate(types_q):
         f, rest = wp[j].split_at(1)
         R[0][j + 1] = -(rest.shift(bq))
         C[0][j + 1] = -f
-    Uhat = lmat_identity(p, r)
-    Vhat = lmat_identity(p, r)
+    Uhat = matrix.identity(Laurent, p, r)
+    Vhat = matrix.identity(Laurent, p, r)
     for i in range(r - 1):
         for j in range(r - 1):
             Uhat[i + 1][j + 1] = Uq[i][j]
             Vhat[i + 1][j + 1] = Vq[i][j]
-    U = lmat_mul(R, lmat_mul(Uhat, B1inv))
-    V = lmat_mul(lmat_from_xpoly(B0), lmat_mul(Vhat, C))
+    U = matrix.mul(R, matrix.mul(Uhat, B1inv))
+    V = matrix.mul(lmat_from_xpoly(B0), matrix.mul(Vhat, C))
     # U (T x^a) V = diag(1, x^(-b_j)), and x^a is scalar, so
     # U T V = diag(x^(-a), x^(-a-b_j)) as claimed
     return [a] + [a + bq for bq in types_q], U, V
@@ -297,7 +278,7 @@ def birkhoff_split(b: P1Bundle):
     types, U, V = _split(b.p, b.matrix())
     r = b.rank
     p = b.p
-    D = lmat_mul(U, lmat_mul(b.matrix(), V))
+    D = matrix.mul(U, matrix.mul(b.matrix(), V))
     for i in range(r):
         for j in range(r):
             want = Laurent.monomial(p, -types[i]) if i == j else Laurent.zero(p)
@@ -309,7 +290,7 @@ def birkhoff_split(b: P1Bundle):
     if max(ue) > 0 or min(ve) < 0:
         raise AssertionError("frame changes landed in the wrong rings")
     for M, ring in ((U, "F_p[1/x]"), (V, "F_p[x]")):
-        dm = lmat_det(M)
+        dm = matrix.det(M)
         if not (dm.is_unit() and dm.min_exp() == 0):
             raise AssertionError(f"frame change not unimodular over {ring}")
     if types != sorted(types, reverse=True):
@@ -385,7 +366,7 @@ def line_subbundle_degree(b: P1Bundle, s0) -> int:
         raise ValueError("zero section")
     if g.degree > 0:
         raise ValueError("section vector is not primitive")
-    w = lmat_vec(b.matrix(), [Laurent.from_poly(q) for q in s0])
+    w = matrix.vec(b.matrix(), [Laurent.from_poly(q) for q in s0])
     return -max(e.max_exp() for e in w if not e.is_zero())
 
 
@@ -426,7 +407,7 @@ def sub_adapted(b: P1Bundle, gens) -> AdaptedFrames:
     if s == 0:
         raise ValueError("no sub-bundle: zero generators")
     B0 = _complete_frame(sat0, r)
-    carried = [lmat_vec(b.matrix(), [Laurent.from_poly(q) for q in col])
+    carried = [matrix.vec(b.matrix(), [Laurent.from_poly(q) for q in col])
                for col in sat0]
     cleared = []
     for col in carried:
@@ -438,7 +419,7 @@ def sub_adapted(b: P1Bundle, gens) -> AdaptedFrames:
         raise AssertionError("chart-1 saturation changed rank")
     B1y = _complete_frame(sat1, r)
     B1inv = lmat_from_ypoly(polymat.pmat_inverse(B1y))
-    Tt = lmat_mul(B1inv, lmat_mul(b.matrix(), lmat_from_xpoly(B0)))
+    Tt = matrix.mul(B1inv, matrix.mul(b.matrix(), lmat_from_xpoly(B0)))
     for i in range(s, r):
         for j in range(s):
             if not Tt[i][j].is_zero():

@@ -15,10 +15,10 @@ from .cartier import (GoodLiftingMap, check_functoriality, inverse_cartier,
                       p_curvature)
 from .chern import (ChernData, GradedRing, check_equivalence,
                     higher_discriminants, twist)
+from .exact import matrix
 from .exact.bipoly import BiPoly
 from .exact.laurent import Laurent
 from .exact.poly import Poly, RatFun
-from .exact.rmat import rmat_eq
 from .flow import detect_periodicity
 from .loghiggs import (INF, LogDivisor, higgs_bundle, nilpotency_level,
                        residue, residue_trace_sum)
@@ -140,7 +140,7 @@ def _check_cartier(rng: random.Random) -> SelfCheck:
             psi = p_curvature(con)
             mlog = [[-(RatFun.x(p) * e).dilate(p) for e in row]
                     for row in hb.theta0]
-            if not rmat_eq(psi, mlog):
+            if not matrix.eq(psi, mlog):
                 return _fail("cartier", "p-curvature is not the pullback")
             lv = nilpotency_level(psi)
             if lv is None or lv > p - 1:

@@ -16,10 +16,9 @@ from hdrflow.chern import (ChernData, GradedRing, check_equivalence,
                            direct_sum_discriminant_residual,
                            higher_discriminants, twist)
 from hdrflow.cli import main as cli_main
-from hdrflow.exact.lmat import lmat_mul
+from hdrflow.exact import matrix
 from hdrflow.exact.poly import Poly, RatFun
 from hdrflow.exact.polymat import is_unimodular
-from hdrflow.exact.rmat import rmat_eq
 from hdrflow.flow import (detect_periodicity, flow_start, flow_step,
                           splitting_bound)
 from hdrflow.loghiggs import (INF, LogDivisor, higgs_bundle,
@@ -142,11 +141,12 @@ def test_criterion_3_birkhoff():
         if degree_and_slope(bundle)[0] != sum(types):
             failures.append(f"datum {k}: degree != sum of the type")
         diag = [list(row) for row in P1Bundle.of_type(p, types).matrix()]
-        utv = [list(row) for row in lmat_mul(U, lmat_mul(bundle.matrix(), V))]
+        utv = matrix.mul(U, matrix.mul(bundle.matrix(), V))
         if utv != diag:
             failures.append(f"datum {k}: U T V is not the diagonal")
-        again = lmat_mul(random_frame(rng, p, r, 1),
-                         lmat_mul(bundle.matrix(), random_frame(rng, p, r, 0)))
+        again = matrix.mul(random_frame(rng, p, r, 1),
+                           matrix.mul(bundle.matrix(),
+                                      random_frame(rng, p, r, 0)))
         t2, _, _ = birkhoff_split(P1Bundle.from_rows(p, again))
         if tuple(t2) != tuple(types):
             failures.append(f"datum {k}: type moved under a frame change")
@@ -184,7 +184,7 @@ def test_criterion_4_cartier():
         psi = p_curvature(con)
         mlog = [[-(RatFun.x(p) * e).dilate(p) for e in row]
                 for row in hb.theta0]
-        if not rmat_eq(psi, mlog):
+        if not matrix.eq(psi, mlog):
             failures.append(f"datum {k}: p-curvature != frobenius pullback")
         lv = nilpotency_level(psi)
         if lv is None or lv > p - 1:

@@ -8,9 +8,9 @@ from hdrflow.cartier import (FrobeniusLift, GoodLiftingMap, _chart_points,
                              frobenius_lift, glue_change_of_lift,
                              inverse_cartier, p_curvature, pullback_higgs,
                              standard_lift, zeta)
+from hdrflow.exact import matrix
 from hdrflow.exact.poly import Poly, RatFun
-from hdrflow.exact.rmat import (rmat_deriv, rmat_eq, rmat_identity,
-                                rmat_inverse, rmat_mul, rmat_sub)
+from hdrflow.exact.rmat import rmat_deriv, rmat_inverse
 from hdrflow.loghiggs import (INF, LogDivisor, higgs_bundle, log_connection,
                               nilpotency_level, residue, residue_trace_sum)
 from hdrflow.p1 import P1Bundle, birkhoff_split, degree_and_slope
@@ -196,7 +196,7 @@ def test_transform_random_properties():
             psi = p_curvature(con)
             mlog = [[-(RatFun.x(p) * e).dilate(p) for e in row]
                     for row in hb.theta0]
-            assert rmat_eq(psi, mlog)
+            assert matrix.eq(psi, mlog)
             lv = nilpotency_level(psi)
             assert lv is not None and lv <= p - 1
 
@@ -224,8 +224,8 @@ def test_glue_frozen_example():
 def conjugate_frame(g, a):
     """Connection matrix after the frame change u -> g u."""
     gi = rmat_inverse(g)
-    return rmat_sub(rmat_mul(rmat_mul(g, [list(r) for r in a]), gi),
-                    rmat_mul(rmat_deriv(g), gi))
+    return matrix.sub(matrix.mul(matrix.mul(g, [list(r) for r in a]), gi),
+                      matrix.mul(rmat_deriv(g), gi))
 
 
 def test_glue_trivial_cases():
@@ -236,12 +236,12 @@ def test_glue_trivial_cases():
     l1 = standard_lift(D, 0)
     tau, g = glue_change_of_lift(l1, l1, hb)
     assert all(e.is_zero() for row in tau for e in row)
-    assert rmat_eq(g, rmat_identity(p, 2))
+    assert matrix.eq(g, matrix.identity(RatFun, p, 2))
     zero = RatFun.zero(p)
     hb0 = higgs_bundle(b, D, [[zero, zero], [zero, zero]])
     l2 = frobenius_lift(D, 0, Poly.monomial(p, p + 2))
     _, g = glue_change_of_lift(l1, l2, hb0)
-    assert rmat_eq(g, rmat_identity(p, 2))
+    assert matrix.eq(g, matrix.identity(RatFun, p, 2))
 
 
 def test_glue_chart_and_divisor_guards():
@@ -290,7 +290,7 @@ def test_p_curvature_frozen_values():
     b = P1Bundle.of_type(p, (0, 0))
     zero = RatFun.zero(p)
     plain = log_connection(b, D, [[zero, zero], [zero, zero]])
-    assert rmat_eq(p_curvature(plain), [[zero, zero], [zero, zero]])
+    assert matrix.eq(p_curvature(plain), [[zero, zero], [zero, zero]])
     con = log_connection(b, D, over_x(p, [[0, 1], [0, 0]]))
     # N^3 - N = -N for this Jordan block
     assert p_curvature(con) == ((zero, -RatFun.one(p)), (zero, zero))
@@ -319,7 +319,7 @@ def test_p_curvature_non_nilpotent_witness():
     want = [[RatFun.const(p, 3) * e for e in row]
             for row in [[RatFun.zero(p), RatFun.const(p, 2)],
                         [RatFun.one(p), RatFun.zero(p)]]]
-    assert rmat_eq(psi, want)
+    assert matrix.eq(psi, want)
     assert nilpotency_level(psi) is None
 
 

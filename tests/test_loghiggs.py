@@ -1,11 +1,12 @@
 import random
 
+from hdrflow.exact import matrix
 from hdrflow.exact.laurent import Laurent
-from hdrflow.exact.lmat import lmat_mul, lmat_to_xpoly
+from hdrflow.exact.lmat import lmat_to_xpoly
 from hdrflow.exact.poly import Poly, RatFun
 from hdrflow.exact.rings import Fp
 from hdrflow.exact import linalg
-from hdrflow.exact.rmat import rmat_eval, rmat_from_lmat, rmat_inverse, rmat_mul
+from hdrflow.exact.rmat import rmat_from_lmat, rmat_inverse
 from hdrflow.loghiggs import (INF, LogDivisor, check_hodge_system,
                               griffiths_grading, higgs_bundle,
                               invariant_flag_heuristic, is_semistable_rank2,
@@ -64,10 +65,10 @@ def conjugated(rng, hb):
     """The same field written after a chart-0 polynomial frame change."""
     p, r = hb.p, hb.rank
     g = random_frame(rng, p, r, 0)
-    b2 = P1Bundle.from_rows(p, lmat_mul(hb.bundle.matrix(), g))
+    b2 = P1Bundle.from_rows(p, matrix.mul(hb.bundle.matrix(), g))
     gr = rmat_from_lmat(g)
-    th2 = rmat_mul(rmat_inverse(gr), rmat_mul([list(r_) for r_ in hb.theta0],
-                                              gr))
+    th2 = matrix.mul(rmat_inverse(gr),
+                     matrix.mul([list(r_) for r_ in hb.theta0], gr))
     return higgs_bundle(b2, hb.divisor, th2), lmat_to_xpoly(g)
 
 

@@ -1,7 +1,7 @@
 import random
 
 from hdrflow.exact.poly import Poly
-from hdrflow.exact import linalg, polymat
+from hdrflow.exact import linalg, matrix
 from hdrflow.exact.rings import Fp
 from hdrflow.monodromy import (NilpotentOperator, WeightFiltration, conjugate,
                                graded_of_kernel, jordan_matrix,
@@ -153,7 +153,7 @@ def test_module_case_frozen():
 
 
 def _random_unimodular(rng, p, n, deg=1):
-    g = polymat.pmat_identity(p, n)
+    g = matrix.identity(Poly, p, n)
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:

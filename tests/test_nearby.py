@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
+from hdrflow.exact import matrix
 from hdrflow.exact.bipoly import BiPoly
 from hdrflow.exact.poly import Poly
-from hdrflow.exact.polymat import is_unimodular, pmat_inverse, pmat_mul
+from hdrflow.exact.polymat import is_unimodular, pmat_inverse
 from hdrflow.nearby import (LY0Module, LYModule, local_higgs_module,
                             local_inverse_cartier, local_log_connection,
                             ly0_module, ly_module, pair_nilpotency_level,
@@ -65,7 +66,7 @@ def poly_frame(rng, p, r, maxdeg=2):
 
 
 def conjugate(G, R):
-    return pmat_mul(pmat_mul(pmat_inverse(G), [list(r) for r in R]), G)
+    return matrix.mul(matrix.mul(pmat_inverse(G), [list(r) for r in R]), G)
 
 
 def block_nilpotent(p, sizes):

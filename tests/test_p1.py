@@ -4,8 +4,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from hdrflow import cli, p1
+from hdrflow.exact import matrix
 from hdrflow.exact.laurent import Laurent
-from hdrflow.exact.lmat import lmat_det, lmat_identity, lmat_mul
 from hdrflow.exact.poly import Poly
 from hdrflow.p1 import (P1Bundle, birkhoff_split, cech_h0, degree_and_slope,
                         frobenius_pullback, global_sections,
@@ -15,7 +15,7 @@ from hdrflow.p1 import (P1Bundle, birkhoff_split, cech_h0, degree_and_slope,
 
 def random_frame(rng, p, r, side, maxdeg=2):
     """Random unimodular matrix over F_p[x] (side 0) or F_p[1/x] (side 1)."""
-    M = lmat_identity(p, r)
+    M = matrix.identity(Laurent, p, r)
     for _ in range(2 * r):
         i, j = rng.randrange(r), rng.randrange(r)
         if i == j:
@@ -35,8 +35,8 @@ def planted(rng, p, r, lo=-3, hi=3):
     """A bundle of known splitting type, hidden by random frame changes."""
     types = sorted((rng.randint(lo, hi) for _ in range(r)), reverse=True)
     D = P1Bundle.of_type(p, types).matrix()
-    T = lmat_mul(random_frame(rng, p, r, 1),
-                 lmat_mul(D, random_frame(rng, p, r, 0)))
+    T = matrix.mul(random_frame(rng, p, r, 1),
+                   matrix.mul(D, random_frame(rng, p, r, 0)))
     return types, P1Bundle(p, tuple(tuple(row) for row in T))
 
 
@@ -191,8 +191,8 @@ def test_sub_adapted_frames():
         quot = P1Bundle.from_rows(p, ad.t_quot)
         tq, _, _ = birkhoff_split(quot)
         assert tuple(tq) == tuple(types[1:])
-        dsub = lmat_det(ad.t_sub)
-        dquot = lmat_det(ad.t_quot)
+        dsub = matrix.det(ad.t_sub)
+        dquot = matrix.det(ad.t_quot)
         assert -(dsub.min_exp() + dquot.min_exp()) == sum(types)
 
 
