@@ -1,9 +1,10 @@
 """Chern character and higher discriminants in a truncated graded ring.
 
 Classes live in Q[g_1, ..., g_k] / (degree > n), the free graded-commutative
-ring on named even generators with weights.  For a rank-r datum with Chern
-classes c_1..c_n the Chern character is computed through Newton's identities,
-and the higher discriminants Delta_i are defined degreewise by
+ring on named even generators with weights, stored densely on the ring's
+monomial basis.  For a rank-r datum with Chern classes c_1..c_n the Chern
+character is read off log c(E) (Newton's identities in series form), and the
+higher discriminants Delta_i are defined degreewise by
 
     log(ch E) = log r + sum_{i>=1} (-1)^(i+1) Delta_i(E) / (i! r^i),
 
@@ -11,18 +12,38 @@ so Delta_1 = c_1 and Delta_2 = 2 r c_2 - (r-1) c_1^2 is the classical
 discriminant.  For i >= 2 the Delta_i are invariant under twisting by a line
 bundle, which is what makes them usable on Jordan-Hoelder graded pieces.
 
+Both logarithms come from one recurrence that costs about one product of
+truncated series, and a job computes ch and log(ch/r) once.
+
 Everything is exact (fractions.Fraction); no floats anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import add, neg, sub
+
+
+# Refuse rings whose dense form would hold more than this many cells: the
+# product table, the monomial exponents and the per-weight counts each.
+MAX_RING_SIZE = 200_000
+
+
+class RingTooLarge(ValueError):
+    """The ring's dense basis or product table exceeds MAX_RING_SIZE."""
 
 
 class GradedRing:
     """Q[generators]/(weighted degree > truncation), generators all of even
-    cohomological degree so the ring is honestly commutative."""
+    cohomological degree so the ring is honestly commutative.
+
+    The monomials of weight <= truncation form the basis, sorted by
+    (weight, monomial); `start[w]` is the index of the first monomial of
+    weight w.  `table[i][j]` is the index of basis[i] * basis[j], for every
+    j whose weight fits next to that of i (a prefix of the basis).
+    """
 
     def __init__(self, generators: list[tuple[str, int]], truncation: int):
         if truncation < 1:
@@ -36,23 +57,52 @@ class GradedRing:
         self.gens = list(generators)
         self.names = names
         self.degrees = [d for _, d in generators]
-        self.truncation = truncation
+        self.truncation = n = truncation
+        k = len(self.degrees)
+        if (k + 1) * (n + 1) > MAX_RING_SIZE:
+            raise RingTooLarge(f"{k} generators at truncation {n} exceed "
+                               f"the ring size bound {MAX_RING_SIZE}")
+        counts = [1] + [0] * n          # monomials of each weight
+        for d in self.degrees:
+            for w in range(d, n + 1):
+                counts[w] += counts[w - d]
+        self.start = [0, *accumulate(counts)]
+        entries = sum(c * self.start[n - w + 1] for w, c in enumerate(counts))
+        exponents = self.start[-1] * k
+        if max(entries, exponents) > MAX_RING_SIZE:
+            raise RingTooLarge(f"truncation {n} needs {entries} product-table "
+                               f"entries and {exponents} monomial exponents, "
+                               f"above the ring size bound {MAX_RING_SIZE}")
+        basis = [((), 0)]
+        for d in self.degrees:
+            basis = [(m + (e,), w + e * d) for m, w in basis
+                     for e in range((n - w) // d + 1)]
+        basis.sort(key=lambda mw: (mw[1], mw[0]))
+        self.basis = tuple(m for m, _ in basis)
+        self.basis_weight = tuple(w for _, w in basis)
+        self.index = {m: i for i, m in enumerate(self.basis)}
+        self.table = tuple(
+            tuple(self.index[tuple(map(add, mi, mj))]
+                  for mj in self.basis[:self.start[n - wi + 1]])
+            for mi, wi in basis)
 
     def __eq__(self, other):
-        return (isinstance(other, GradedRing) and self.gens == other.gens
-                and self.truncation == other.truncation)
+        return self is other or (
+            isinstance(other, GradedRing) and self.gens == other.gens
+            and self.truncation == other.truncation)
 
     def weight(self, mono: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
+
+    def block(self, degree: int) -> slice:
+        """Where the monomials of one weight sit in the basis."""
+        return slice(self.start[degree], self.start[degree + 1])
 
     def zero(self) -> "GradedClass":
         return GradedClass(self, {})
 
     def const(self, a) -> "GradedClass":
-        a = Fraction(a)
-        if a == 0:
-            return self.zero()
-        return GradedClass(self, {tuple([0] * len(self.gens)): a})
+        return GradedClass(self, {self.basis[0]: a})
 
     def gen(self, name: str) -> "GradedClass":
         i = self.names.index(name)
@@ -63,32 +113,70 @@ class GradedRing:
     def from_terms(self, terms: dict[tuple[int, ...], Fraction]) -> "GradedClass":
         return GradedClass(self, terms)
 
+    def mul_into(self, out: list, a, arange: range, b, brange: range) -> None:
+        """out += (a restricted to arange) * (b restricted to brange), on
+        coefficient lists over the basis; products past the truncation drop."""
+        lo, hi = brange.start, brange.stop
+        bs = b[lo:hi]
+        table = self.table
+        for i in arange:
+            ai = a[i]
+            if ai:
+                for bj, k in zip(bs, table[i][lo:hi]):
+                    if bj:
+                        out[k] += ai * bj
+
+
+def _support(c) -> range:
+    """The index range between the first and the last nonzero entry."""
+    lo = next((i for i, x in enumerate(c) if x), len(c))
+    hi = len(c)
+    while hi > lo and not c[hi - 1]:
+        hi -= 1
+    return range(lo, hi)
+
 
 class GradedClass:
-    """Element of a GradedRing; terms beyond the truncation are dropped."""
+    """Element of a GradedRing, stored as its dense coefficient tuple over
+    the ring's basis; terms beyond the truncation are dropped.  Nonzero
+    coefficients are Fractions, zero ones may be the int 0."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: GradedRing, terms: dict):
-        self.ring = ring
-        t = {}
+        coeffs = [0] * len(ring.basis)
         for mono, c in terms.items():
-            c = Fraction(c)
-            if c != 0 and ring.weight(mono) <= ring.truncation:
-                t[tuple(mono)] = t.get(tuple(mono), Fraction(0)) + c
-        self.terms = {m: c for m, c in t.items() if c != 0}
+            i = ring.index.get(tuple(mono))
+            if i is not None:
+                coeffs[i] += Fraction(c)
+            elif ring.weight(mono) <= ring.truncation:
+                raise ValueError(f"{mono} is not a monomial of the ring")
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _dense(cls, ring: GradedRing, coeffs) -> "GradedClass":
+        self = object.__new__(cls)
+        self.ring = ring
+        self.coeffs = tuple(coeffs)
+        return self
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return {m: Fraction(c) for m, c in zip(self.ring.basis, self.coeffs)
+                if c}
 
     def is_zero(self):
-        return not self.terms
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         return (isinstance(other, GradedClass) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, GradedClass):
@@ -103,39 +191,32 @@ class GradedClass:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        t = dict(self.terms)
-        for m, c in o.terms.items():
-            t[m] = t.get(m, Fraction(0)) + c
-        return GradedClass(self.ring, t)
+        return self._dense(self.ring, map(add, self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedClass(self.ring, {m: -c for m, c in self.terms.items()})
+        return self._dense(self.ring, map(neg, self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        return self._dense(self.ring, map(sub, self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._dense(self.ring, [c * other for c in self.coeffs])
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        ring = self.ring
-        t: dict = {}
-        for m1, c1 in self.terms.items():
-            w1 = ring.weight(m1)
-            for m2, c2 in o.terms.items():
-                if w1 + ring.weight(m2) > ring.truncation:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                t[m] = t.get(m, Fraction(0)) + c1 * c2
-        return GradedClass(ring, t)
+        a, b = self.coeffs, o.coeffs
+        out = [0] * len(a)
+        self.ring.mul_into(out, a, _support(a), b, _support(b))
+        return self._dense(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -152,14 +233,18 @@ class GradedClass:
         return r
 
     def component(self, degree: int) -> "GradedClass":
-        return GradedClass(self.ring, {m: c for m, c in self.terms.items()
-                                       if self.ring.weight(m) == degree})
+        out = [0] * len(self.coeffs)
+        if 0 <= degree <= self.ring.truncation:
+            s = self.ring.block(degree)
+            out[s] = self.coeffs[s]
+        return self._dense(self.ring, out)
 
     def max_degree(self) -> int:
-        return max((self.ring.weight(m) for m in self.terms), default=0)
+        nz = _support(self.coeffs)
+        return self.ring.basis_weight[nz.stop - 1] if nz else 0
 
     def scalar_part(self) -> Fraction:
-        return self.terms.get(tuple([0] * len(self.ring.gens)), Fraction(0))
+        return Fraction(self.coeffs[0])
 
     def __repr__(self):
         from .serialize import qpoly_str
@@ -183,7 +268,7 @@ class ChernData:
         for i, ci in enumerate(self.classes, start=1):
             if ci.ring != self.ring:
                 raise ValueError("class in the wrong ring")
-            if any(ci.ring.weight(m) != i for m in ci.terms):
+            if ci != ci.component(i):
                 raise ValueError(f"c_{i} is not homogeneous of degree {i}")
 
     def c(self, i: int) -> GradedClass:
@@ -194,40 +279,61 @@ class ChernData:
         return self.ring.zero()
 
 
-def chern_character(d: ChernData) -> GradedClass:
-    """ch(E) = r + sum p_k / k!, power sums from Newton's identities
+def _euler_log(ring: GradedRing, u) -> list:
+    """E(log(1 + u)) for a coefficient list u with zero scalar part, where
+    the Euler derivation E multiplies the degree-m part by m.
 
-    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^k c_{k-1} p_1 + (-1)^(k-1) k c_k.
+    E is a derivation, so (1 + u) E(log(1 + u)) = E(u); degree by degree
+    that is the recurrence  m L_m = m u_m - sum_{k<m} k L_k u_{m-k},  one
+    product of truncated series instead of n powers of u.
     """
-    n = d.ring.truncation
-    ch = d.ring.const(d.rank)
-    pows: list[GradedClass] = [d.ring.zero()]  # p_0 unused slot
-    for k in range(1, n + 1):
-        pk = d.ring.zero()
-        for j in range(1, k):
-            term = d.c(j) * pows[k - j]
-            pk = pk + term if j % 2 == 1 else pk - term
-        lead = d.ring.const(k) * d.c(k)
-        pk = pk + lead if (k - 1) % 2 == 0 else pk - lead
-        pows.append(pk)
-        ch = ch + d.ring.const(Fraction(1, factorial(k))) * pk
-    return ch
+    start, size = ring.start, len(u)
+    el = [w * c for w, c in zip(ring.basis_weight, u)]
+    acc = [0] * size
+    for m in range(1, ring.truncation):
+        # k L_k is final for k <= m: push its products with u upward
+        ring.mul_into(acc, el, range(start[m], start[m + 1]),
+                      u, range(start[1], size))
+        s = ring.block(m + 1)
+        el[s] = map(sub, el[s], acc[s])
+    return el
+
+
+def chern_character(d: ChernData) -> GradedClass:
+    """ch(E) = r + sum_k (-1)^(k+1) k [log c(E)]_k / k!, which is Newton's
+    identities for the power sums p_k = k! ch_k in generating-series form."""
+    ring = d.ring
+    c = [0] * len(ring.basis)
+    for i, ci in enumerate(d.classes, start=1):
+        s = ring.block(i)
+        c[s] = ci.coeffs[s]
+    coef = [(-1) ** (w + 1) * Fraction(1, factorial(w))
+            for w in range(ring.truncation + 1)]
+    ch = [coef[w] * x if x else 0
+          for w, x in zip(ring.basis_weight, _euler_log(ring, c))]
+    ch[0] = Fraction(d.rank)
+    return GradedClass._dense(ring, ch)
 
 
 def _log1p(u: GradedClass) -> GradedClass:
     """log(1 + u) for u with zero scalar part, exact up to the truncation."""
     if u.scalar_part() != 0:
         raise ValueError("log argument must be 1 + (positive degree)")
-    n = u.ring.truncation
-    out = u.ring.zero()
-    uk = u.ring.const(1)
-    for k in range(1, n + 1):
-        uk = uk * u
-        if uk.is_zero():
-            break
-        c = Fraction((-1) ** (k + 1), k)
-        out = out + u.ring.const(c) * uk
-    return out
+    ring = u.ring
+    return GradedClass._dense(ring, [
+        x / w if x else 0
+        for w, x in zip(ring.basis_weight, _euler_log(ring, u.coeffs))])
+
+
+def _log_ch(d: ChernData) -> GradedClass:
+    """log(ch E / r): the one place ch and its logarithm are computed."""
+    return _log1p(chern_character(d) * Fraction(1, d.rank) - 1)
+
+
+def _deltas(d: ChernData, log_ch: GradedClass) -> list[GradedClass]:
+    r = d.rank
+    return [log_ch.component(i) * ((-1) ** (i + 1) * factorial(i) * r ** i)
+            for i in range(1, d.ring.truncation + 1)]
 
 
 def higher_discriminants(d: ChernData) -> list[GradedClass]:
@@ -235,15 +341,7 @@ def higher_discriminants(d: ChernData) -> list[GradedClass]:
 
     Delta_i = (-1)^(i+1) * i! * r^i * (log(ch E) - log r)_i.
     """
-    r = d.rank
-    ch = chern_character(d)
-    u = d.ring.const(Fraction(1, r)) * ch - 1
-    L = _log1p(u)
-    out = []
-    for i in range(1, d.ring.truncation + 1):
-        coef = Fraction((-1) ** (i + 1) * factorial(i) * r ** i)
-        out.append(d.ring.const(coef) * L.component(i))
-    return out
+    return _deltas(d, _log_ch(d))
 
 
 def twist(d: ChernData, c1L: GradedClass) -> ChernData:
@@ -251,16 +349,19 @@ def twist(d: ChernData, c1L: GradedClass) -> ChernData:
 
     c_i(E ox L) = sum_j binom(r - j, i - j) c1L^(i-j) c_j(E).
     """
-    if any(d.ring.weight(m) != 1 for m in c1L.terms):
+    if c1L != c1L.component(1):
         raise ValueError("c1 of a line bundle must be homogeneous of degree 1")
-    r = d.rank
+    r, n = d.rank, d.ring.truncation
+    powers = [d.ring.const(1)]
+    for _ in range(n):
+        powers.append(powers[-1] * c1L)
     new = []
-    for i in range(1, d.ring.truncation + 1):
+    for i in range(1, n + 1):
         s = d.ring.zero()
         for j in range(0, i + 1):
             if r - j < i - j:
                 continue
-            s = s + d.ring.const(comb(r - j, i - j)) * (c1L ** (i - j)) * d.c(j)
+            s = s + powers[i - j] * d.c(j) * comb(r - j, i - j)
         new.append(s)
     return ChernData(r, tuple(new), d.ring)
 
@@ -270,6 +371,7 @@ class EquivalenceReport:
     chern_binomial: bool      # r^i c_i = binom(r, i) c_1^i for all i
     delta_vanishing: bool     # Delta_i = 0 for i >= 2
     log_linear: bool          # log ch = log r + c_1 / r
+    deltas: tuple             # Delta_1..Delta_n, read off the same log
 
     @property
     def consistent(self) -> bool:
@@ -277,19 +379,19 @@ class EquivalenceReport:
 
 
 def check_equivalence(d: ChernData) -> EquivalenceReport:
-    """The three faces of log-freeness, each computed independently."""
+    """The three faces of log-freeness: the binomial test on the classes,
+    and the Delta and log-linearity tests on one computation of log(ch/r)."""
     r = d.rank
-    ring = d.ring
-    b1 = all((ring.const(r ** i) * d.c(i)) == (ring.const(comb(r, i)) * d.c(1) ** i)
-             for i in range(1, ring.truncation + 1))
-    deltas = higher_discriminants(d)
-    b2 = all(deltas[i].is_zero() for i in range(1, ring.truncation))
-    ch = chern_character(d)
-    u = ring.const(Fraction(1, r)) * ch - 1
-    L = _log1p(u)
-    expect = ring.const(Fraction(1, r)) * d.c(1)
-    b3 = all((L.component(i) == expect.component(i)) for i in range(1, ring.truncation + 1))
-    return EquivalenceReport(b1, b2, b3)
+    c1_power = d.ring.const(1)
+    b1 = True
+    for i in range(1, d.ring.truncation + 1):
+        c1_power = c1_power * d.c(1)
+        b1 = b1 and d.c(i) * r ** i == c1_power * comb(r, i)
+    log_ch = _log_ch(d)
+    deltas = _deltas(d, log_ch)
+    b2 = all(delta.is_zero() for delta in deltas[1:])
+    b3 = log_ch == d.c(1) * Fraction(1, r)
+    return EquivalenceReport(b1, b2, b3, tuple(deltas))
 
 
 def binomial_chern(rank: int, sub_rank: int, c1_over_r: GradedClass, m: int) -> GradedClass:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .cartier import inverse_cartier, p_curvature
-from .chern import ChernData, GradedRing, check_equivalence, higher_discriminants
+from .chern import ChernData, GradedRing, RingTooLarge, check_equivalence
 from .exact import matrix
 from .exact.poly import Poly, RatFun
 from .exact.rings import check_prime
@@ -248,15 +248,25 @@ def _encode_connection(con) -> dict:
 def _cmd_discriminants(cfg: RunConfig) -> dict:
     doc = _load_doc(cfg)
     rank = _int_field(doc, "rank", "input")
+    if rank < 1:
+        raise InputFault("rank must be >= 1", "input.rank")
     trunc = _int_field(doc, "truncation", "input")
+    if trunc < 1:
+        raise InputFault("truncation must be >= 1", "input.truncation")
     gens = _field(doc, "generators", "input", default=[["h", 1]])
-    if (not isinstance(gens, list)
-            or not all(isinstance(g, list) and len(g) == 2 for g in gens)):
+    if not isinstance(gens, list):
         raise InputFault("generators must be [name, weight] pairs",
                          "input.generators")
+    for i, g in enumerate(gens):
+        if (not isinstance(g, list) or len(g) != 2
+                or not isinstance(g[1], int) or isinstance(g[1], bool)):
+            raise InputFault("a generator must be a [name, integer weight] "
+                             "pair", f"input.generators[{i}]")
     try:
-        ring = GradedRing([(str(n), int(w)) for n, w in gens], trunc)
-    except (ValueError, TypeError) as e:
+        ring = GradedRing([(str(n), w) for n, w in gens], trunc)
+    except RingTooLarge as e:
+        raise InputFault(str(e), "input.truncation")
+    except ValueError as e:
         raise InputFault(str(e), "input.generators")
     raw = _field(doc, "classes", "input")
     if not isinstance(raw, list) or len(raw) != trunc:
@@ -265,20 +275,19 @@ def _cmd_discriminants(cfg: RunConfig) -> dict:
     cs = []
     for i, s in enumerate(raw):
         try:
-            cs.append(ring.from_terms(parse_qpoly(str(s), ring.names)))
+            terms = parse_qpoly(str(s), ring.names)
         except ParseError as e:
             raise InputFault(str(e), f"input.classes[{i}]")
-    try:
-        d = ChernData(rank, tuple(cs), ring)
-    except ValueError as e:
-        raise InputFault(str(e), "input.classes")
-    deltas = higher_discriminants(d)
-    eq = check_equivalence(d)
+        if any(ring.weight(m) != i + 1 for m in terms):
+            raise InputFault(f"c_{i + 1} is not homogeneous of degree {i + 1}",
+                             f"input.classes[{i}]")
+        cs.append(ring.from_terms(terms))
+    eq = check_equivalence(ChernData(rank, tuple(cs), ring))
     report = {
         "command": "discriminants",
         "status": "pass" if eq.consistent else "violation",
         "rank": rank,
-        "delta": [qpoly_str(x.terms, ring.names) for x in deltas],
+        "delta": [qpoly_str(x.terms, ring.names) for x in eq.deltas],
         "equivalence": {"chern_binomial": eq.chern_binomial,
                         "delta_vanishing": eq.delta_vanishing,
                         "log_linear": eq.log_linear},

@@ -1,17 +1,25 @@
-"""Discriminant calculus: frozen identities plus an independent series oracle.
+"""Discriminant calculus: frozen identities plus independent oracles.
 
-The oracle below recomputes Delta_i for split bundles sum O(a_i) through
+`oracle_split_deltas` recomputes Delta_i for split bundles sum O(a_i) through
 exponential sums in a single-variable Fraction series, with none of the
-Newton / multivariate machinery of the library path.
+multivariate machinery of the library path.  `oracle_deltas` recomputes them
+on every benchmark ring from Newton's identities and the defining series of
+log(1 + u), and `_dict_mul` checks the dense product against a product of
+{monomial: coefficient} dicts.
 """
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
-from hdrflow.chern import (ChernData, GradedRing, binomial_chern,
-                           check_equivalence, chern_character,
+import pytest
+
+from hdrflow.chern import (MAX_RING_SIZE, ChernData, GradedRing, RingTooLarge,
+                           binomial_chern, check_equivalence, chern_character,
                            direct_sum_discriminant_residual,
                            higher_discriminants, twist, whitney_sum)
+
+BENCH_WEIGHTS = [(1,), (1, 1), (1, 2), (1, 3), (1, 2, 2), (1, 2, 3)]
 
 
 def _series_mul(a, b, n):
@@ -220,3 +228,84 @@ def test_chern_data_validation():
         pass
     else:
         raise AssertionError("inhomogeneous c_1 accepted")
+
+
+# -- dense product and log recurrence against their definitions ----------------
+
+def _ring(weights, n):
+    return GradedRing([(f"g{i}", w) for i, w in enumerate(weights)], n)
+
+
+def _random_class(rng, ring, degrees):
+    """A class with random rational coefficients on about half of the
+    monomials of the given degrees."""
+    terms = {}
+    for mono in product(*(range(ring.truncation + 1) for _ in ring.degrees)):
+        if ring.weight(mono) in degrees and rng.random() < 0.5:
+            terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return ring.from_terms(terms)
+
+
+def _dict_mul(ring, a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if ring.weight(m) <= ring.truncation:
+                out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_deltas(d):
+    """Delta_1..Delta_n with ch from Newton's identities and log(1 + u) from
+    its series sum (-1)^(k+1) u^k / k, in plain GradedClass arithmetic."""
+    ring, r, n = d.ring, d.rank, d.ring.truncation
+    ch, pows = ring.const(r), [None]
+    for k in range(1, n + 1):
+        pk = ring.const((-1) ** (k - 1) * k) * d.c(k)
+        for j in range(1, k):
+            pk = pk + ring.const((-1) ** (j + 1)) * d.c(j) * pows[k - j]
+        pows.append(pk)
+        ch = ch + ring.const(Fraction(1, factorial(k))) * pk
+    u = ring.const(Fraction(1, r)) * ch - 1
+    log = sum((ring.const(Fraction((-1) ** (k + 1), k)) * u ** k
+               for k in range(1, n + 1)), ring.zero())
+    return [ring.const((-1) ** (i + 1) * factorial(i) * r ** i)
+            * log.component(i) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("weights", BENCH_WEIGHTS)
+def test_dense_product_matches_dict_product(weights):
+    rng = random.Random(f"product {weights}")
+    for n in range(2, 6):
+        ring = _ring(weights, n)
+        for _ in range(4):
+            a = _random_class(rng, ring, range(n + 1))
+            b = _random_class(rng, ring, range(rng.randint(0, n) + 1))
+            assert (a * b).terms == _dict_mul(ring, a.terms, b.terms)
+
+
+@pytest.mark.parametrize("weights", BENCH_WEIGHTS)
+def test_discriminants_match_series_oracle(weights):
+    rng = random.Random(f"deltas {weights}")
+    for n in range(2, 7):
+        ring = _ring(weights, n)
+        for r in range(1, 7):
+            classes = tuple(_random_class(rng, ring, (i,))
+                            for i in range(1, n + 1))
+            d = ChernData(r, classes, ring)
+            want = oracle_deltas(d)
+            assert higher_discriminants(d) == want
+            assert list(check_equivalence(d).deltas) == want
+
+
+def test_ring_basis_and_size_bound():
+    ring = _ring((1, 2, 2), 10)
+    assert len(ring.basis) == 91
+    assert sum(len(row) for row in ring.table) == 1092
+    with pytest.raises(RingTooLarge):
+        _ring((1, 1, 1), 20)        # 230230 table entries
+    with pytest.raises(RingTooLarge):
+        _ring((1,), MAX_RING_SIZE)  # the truncation alone
+    with pytest.raises(ValueError):
+        GradedRing([("h", 1)], 0)

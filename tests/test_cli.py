@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hdrflow import chern
 from hdrflow.cli import main
 
 UNI3 = {
@@ -76,6 +77,49 @@ def test_discriminants_rejects_inhomogeneous_class(capsys):
     code, rep = run_json(capsys, "discriminants", "--input", json.dumps(doc))
     assert code == 4
     assert "classes" in rep["location"]
+
+
+@pytest.mark.parametrize("doc, location", [
+    ({"rank": 2, "truncation": 0, "classes": []}, "input.truncation"),
+    ({"rank": 0, "truncation": 1, "classes": ["h"]}, "input.rank"),
+    # a term above the truncation must not be dropped before the check
+    ({"rank": 2, "truncation": 2, "classes": ["h", "h^3"]},
+     "input.classes[1]"),
+    # three weight-1 generators at truncation 20: a product table of
+    # 230230 entries, above the ring size bound
+    ({"rank": 2, "truncation": 20,
+      "generators": [["a", 1], ["b", 1], ["c", 1]],
+      "classes": ["a", "a*b"] + ["0"] * 18}, "input.truncation"),
+])
+def test_discriminants_input_errors_carry_the_location(capsys, doc, location):
+    code, rep = run_json(capsys, "discriminants", "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["location"] == location
+
+
+@pytest.mark.parametrize("weight", [1.5, True, "1"])
+def test_discriminants_generator_weight_must_be_an_integer(capsys, weight):
+    doc = {"rank": 2, "truncation": 2, "generators": [["h", 1], ["g", weight]],
+           "classes": ["h", "h^2"]}
+    code, rep = run_json(capsys, "discriminants", "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["location"] == "input.generators[1]"
+
+
+def test_discriminants_computes_log_ch_once(capsys, monkeypatch):
+    calls = {"chern_character": 0, "_log1p": 0}
+    for name in calls:
+        inner = getattr(chern, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(chern, name, counted)
+    doc = {"rank": 3, "truncation": 4, "generators": [["a", 1], ["b", 2]],
+           "classes": ["a", "b", "a*b", "b^2"]}
+    code, rep = run_json(capsys, "discriminants", "--input", json.dumps(doc))
+    assert code == 0 and len(rep["delta"]) == 4
+    assert calls == {"chern_character": 1, "_log1p": 1}
 
 
 # -- monodromy --------------------------------------------------------------------
@@ -317,8 +361,8 @@ def test_text_mode_matches_json_content(capsys):
 
 
 # -- frozen reports ---------------------------------------------------------------
-# Printed frames and flow reports, byte for byte: any change to how a bundle
-# is split must reproduce these exactly.
+# Printed frames, flow and discriminants reports, byte for byte: any change
+# to how a bundle is split or a Chern class computed must reproduce these.
 
 FROZEN_SPLITS = [
     # the non-split extension of O(1) by O(-1)
@@ -361,6 +405,37 @@ FROZEN_FLOWS = [
 ]
 
 
+# One discriminants document per benchmark ring, two of them at truncation
+# 10, and one log-free datum: the rendered reports, byte for byte.
+FROZEN_DISCRIMINANTS = [
+    ({"rank": 3, "truncation": 10, "generators": [["h", 1]],
+      "classes": ["-1*h", "-2*h^2", "2*h^3", "-2*h^4", "-1*h^5", "0",
+                  "-3*h^7", "1/2*h^8", "0", "-2*h^10"]},
+     "38c2c44a8a55172bf5857417fca6376ba6a32bc79d38c54b5c363c91ab735dc4"),
+    ({"rank": 2, "truncation": 4, "generators": [["a", 1], ["b", 1]],
+      "classes": ["1*b + -3*a", "-1*b^2", "-1*b^3 + 2*a^3",
+                  "-3*b^4 + 3*a^3*b"]},
+     "90d275f82cd20cddf41e1e871460d148d7e6cbd8cacb9048de4bd7386c369bc3"),
+    ({"rank": 4, "truncation": 5, "generators": [["a", 1], ["b", 2]],
+      "classes": ["1/2*a", "1*b + -3*a^2", "2*a*b + -2*a^3", "0", "0"]},
+     "67bd3ca5197e69c44022d111650453139d14add0cac56d1964fb92808c0365fe"),
+    ({"rank": 5, "truncation": 6, "generators": [["a", 1], ["b", 3]],
+      "classes": ["-2/3*a", "-2/3*a^2", "0", "-3*a*b", "0", "0"]},
+     "069cdad258df589415e5c4691b91fea4d356a8b6cdbec38226793c5ac5317912"),
+    ({"rank": 6, "truncation": 10,
+      "generators": [["a", 1], ["b", 2], ["c", 2]],
+      "classes": ["1*a", "-2*c + -3*b + 1/2*a^2", "1/2*a*b + -2*a^3", "0",
+                  "-2*a^5", "0", "2*a^3*c^2", "0", "-3*a*c^4 + -3*a^9",
+                  "1/2*a^4*c^3 + 1*a^8*b"]},
+     "53bfc8a499d251bf068785e623273fd61e7dabd33c45fdb6056f8ee42fd4b329"),
+    ({"rank": 1, "truncation": 6,
+      "generators": [["a", 1], ["b", 2], ["c", 3]],
+      "classes": ["1*a", "-1*b + -2/3*a^2", "0", "1/2*a^2*b", "0", "0"]},
+     "cd4c46803733bf7d0fe54ffd32e705e09e9980353a5a6bce7fb337f929ae1fc1"),
+    ({"rank": 2, "truncation": 2, "classes": ["2*h", "h^2"]},
+     "160860b64d6d99da76f1a1d4f8860634d753b50b6303a5823b5effaf4272a78b"),
+]
+
 @pytest.mark.parametrize("doc, want", FROZEN_SPLITS)
 def test_split_report_is_frozen(capsys, doc, want):
     code, out = run_text(capsys, "split", "--json", "--input", json.dumps(doc))
@@ -371,5 +446,13 @@ def test_split_report_is_frozen(capsys, doc, want):
 @pytest.mark.parametrize("doc, digest", FROZEN_FLOWS)
 def test_flow_report_is_frozen(capsys, doc, digest):
     code, out = run_text(capsys, "flow", "--json", "--input", json.dumps(doc))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("doc, digest", FROZEN_DISCRIMINANTS)
+def test_discriminants_report_is_frozen(capsys, doc, digest):
+    code, out = run_text(capsys, "discriminants", "--json",
+                         "--input", json.dumps(doc))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
