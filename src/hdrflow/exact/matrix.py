@@ -14,8 +14,13 @@ def shape(M):
 
 
 def identity(ring, p: int, n: int):
-    return [[ring.one(p) if i == j else ring.zero(p) for j in range(n)]
-            for i in range(n)]
+    one, zero = ring.one(p), ring.zero(p)  # entries are immutable: share them
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def from_columns(cols):
+    """The matrix whose columns are the given vectors."""
+    return [list(r) for r in zip(*cols)]
 
 
 def eq(A, B) -> bool:

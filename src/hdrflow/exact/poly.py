@@ -19,11 +19,22 @@ class Poly:
             c.pop()
         self.c = tuple(c)
 
+    @classmethod
+    def _trusted(cls, p: int, c: list):
+        """A result of the arithmetic: p is already checked and every
+        coefficient already reduced, so only trailing zeros are stripped."""
+        while c and not c[-1]:
+            c.pop()
+        f = object.__new__(cls)
+        f.p = p
+        f.c = tuple(c)
+        return f
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p):
-        return cls(p, ())
+        return cls._trusted(p, [])
 
     @classmethod
     def one(cls, p):
@@ -91,27 +102,37 @@ class Poly:
                 raise ValueError("mixed primes")
             return other
         if isinstance(other, int):
-            return Poly(self.p, (other,))
+            return Poly._trusted(self.p, [other % self.p])
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = max(len(self.c), len(o.c))
-        return Poly(self.p, [self[i] + o[i] for i in range(n)])
+        a, b, p = self.c, o.c, self.p
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._trusted(p, [(x + y) % p for x, y in zip(a, b)]
+                             + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.p, [-a for a in self.c])
+        p = self.p
+        return Poly._trusted(p, [-a % p for a in self.c])
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        n = max(len(self.c), len(o.c))
-        return Poly(self.p, [self[i] - o[i] for i in range(n)])
+        a, b, p = self.c, o.c, self.p
+        n = min(len(a), len(b))
+        out = [(x - y) % p for x, y in zip(a, b)]
+        if len(a) > n:
+            out.extend(a[n:])
+        else:
+            out.extend(-y % p for y in b[n:])
+        return Poly._trusted(p, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -126,10 +147,9 @@ class Poly:
         out = [0] * (len(self.c) + len(o.c) - 1)
         for i, a in enumerate(self.c):
             if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % p
-        return Poly(p, out)
+                for j, b in enumerate(o.c, i):
+                    out[j] += a * b
+        return Poly._trusted(p, [x % p for x in out])
 
     __rmul__ = __mul__
 
@@ -162,9 +182,9 @@ class Poly:
             coef = rem[k + len(o.c) - 1] * inv_lc % p
             if coef:
                 quo[k] = coef
-                for j, b in enumerate(o.c):
-                    rem[k + j] = (rem[k + j] - coef * b) % p
-        return Poly(p, quo), Poly(p, rem)
+                for j, b in enumerate(o.c, k):
+                    rem[j] = (rem[j] - coef * b) % p
+        return Poly._trusted(p, quo), Poly._trusted(p, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -1,10 +1,12 @@
 """Matrix algebra over the PID F_p[y]: Smith form, saturation, completions.
 
-Matrices are lists of row lists with Poly entries.  Smith transforms are
-accumulated exactly, so every result is certified by re-multiplication in the
-tests.  Saturation (torsion-free closure of a column span) and unimodular
-completion of a saturated basis are the primitives the geometric layers use to
-manipulate subbundles.
+Matrices are lists of row lists with Poly entries.  One Smith elimination
+(`smith_form`) accumulates U, V and U^{-1} exactly, so every result is
+certified by re-multiplication in the tests, and one form answers a whole
+batch of right-hand sides.  Saturation (torsion-free closure of a column
+span) and unimodular completion of a saturated basis are the primitives the
+geometric layers use to manipulate subbundles.  `pmat_inverse` (adjugate over
+det) is left for frames that were not built by an elimination.
 """
 from __future__ import annotations
 
@@ -32,44 +34,108 @@ def pmat_inverse(M):
     return matrix.scale(dinv, matrix.adjugate(M))
 
 
-def smith_normal_form(M):
-    """Smith form over F_p[y]: returns (U, S, V) with U*M*V = S.
+class SmithForm:
+    """U M V = S over F_p[y], with U^{-1} carried through the elimination.
 
-    S is diagonal with monic entries s_1 | s_2 | ..., U and V unimodular.
-    Deterministic pivoting: least degree, then row, then column.
+    S is diagonal with monic entries s_1 | s_2 | ..., U and V unimodular,
+    and `rank` counts the nonzero s_i.  One form answers every right-hand
+    side (`solve`) and every saturation question about the column span of M.
+    """
+
+    __slots__ = ("U", "S", "V", "Uinv", "rank")
+
+    def __init__(self, U, S, V, Uinv):
+        self.U, self.S, self.V, self.Uinv = U, S, V, Uinv
+        self.rank = sum(1 for s in self.diagonal() if not s.is_zero())
+
+    def diagonal(self):
+        n, m = matrix.shape(self.S)
+        return [self.S[i][i] for i in range(min(n, m))]
+
+    def kernel(self):
+        """Free saturated basis (columns) of ker M."""
+        V = self.V
+        return [[row[j] for row in V] for j in range(self.rank, len(V))]
+
+    def saturation(self):
+        """Free basis (columns) of the saturation of the column span of M."""
+        Uinv = self.Uinv
+        return [[row[j] for row in Uinv] for j in range(self.rank)]
+
+    def solve(self, rhs):
+        """One solution x of M x = b for each column b of `rhs`, or None
+        where M x = b has no solution over F_p[y]."""
+        U, V = self.U, self.V
+        d = self.diagonal()
+        out = []
+        for b in rhs:
+            c = matrix.vec(U, b)
+            z = [Poly.zero(b[0].p)] * len(V)
+            for i, ci in enumerate(c):
+                s = d[i] if i < len(d) else None
+                if s is None or s.is_zero():
+                    if not ci.is_zero():
+                        z = None
+                        break
+                else:
+                    q, r = divmod(ci, s)
+                    if not r.is_zero():
+                        z = None
+                        break
+                    z[i] = q
+            out.append(None if z is None else matrix.vec(V, z))
+        return out
+
+
+def smith_form(M) -> SmithForm:
+    """The one Smith elimination over F_p[y].
+
+    Deterministic pivoting: least degree, then row, then column.  Each row
+    operation on U is matched by the inverse column operation on U^{-1}.
     """
     n, m = matrix.shape(M)
     if n == 0 or m == 0:
-        return [], [list(r) for r in M], []
+        return SmithForm([], [list(r) for r in M], [], [])
     p = M[0][0].p
     A = [list(row) for row in M]
     U = matrix.identity(Poly, p, n)
+    Uinv = matrix.identity(Poly, p, n)
     V = matrix.identity(Poly, p, m)
 
-    def row_op(i, j, f):  # row_i += f * row_j  (on A and U)
-        A[i] = [a + f * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + f * b for a, b in zip(U[i], U[j])]
+    def row_op(i, j, f):  # row_i += f row_j on A, U; col_j -= f col_i on U^-1
+        A[i] = [a + f * b if b.c else a for a, b in zip(A[i], A[j])]
+        U[i] = [a + f * b if b.c else a for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            if row[i].c:
+                row[j] = row[j] - f * row[i]
 
-    def col_op(i, j, f):  # col_i += f * col_j
-        for r in range(n):
-            A[r][i] = A[r][i] + f * A[r][j]
-        for r in range(m):
-            V[r][i] = V[r][i] + f * V[r][j]
+    def col_op(i, j, f):  # col_i += f * col_j on A and V
+        for row in A:
+            if row[j].c:
+                row[i] = row[i] + f * row[j]
+        for row in V:
+            if row[j].c:
+                row[i] = row[i] + f * row[j]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(m):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
 
-    def scale_row(i, c):
+    def scale_row(i, c):  # row_i *= c on A and U; col_i *= 1/c on U^-1
         cc = Poly.const(p, c)
         A[i] = [cc * a for a in A[i]]
         U[i] = [cc * a for a in U[i]]
+        ci = Poly.const(p, pow(c, p - 2, p))
+        for row in Uinv:
+            row[i] = ci * row[i]
 
     for t in range(min(n, m)):
         while True:
@@ -106,6 +172,8 @@ def smith_normal_form(M):
                 continue
             # pivot must divide the rest of the block; if not, fold the
             # offending row in and restart the reduction at this corner
+            if piv.degree == 0:
+                break
             offender = None
             for i in range(t + 1, n):
                 for j in range(t + 1, m):
@@ -120,21 +188,18 @@ def smith_normal_form(M):
         if not A[t][t].is_zero() and A[t][t].lc() != 1:
             scale_row(t, pow(A[t][t].lc(), p - 2, p))
 
-    return U, A, V
+    return SmithForm(U, A, V, Uinv)
 
 
-def smith_diagonal(M):
-    _, S, _ = smith_normal_form(M)
-    n, m = matrix.shape(S)
-    return [S[i][i] for i in range(min(n, m))]
+def smith_normal_form(M):
+    """Smith form over F_p[y]: returns (U, S, V) with U*M*V = S."""
+    f = smith_form(M)
+    return f.U, f.S, f.V
 
 
 def kernel_saturated(M):
     """Basis (list of column vectors) of ker(M) in F_p[y]^m; free & saturated."""
-    n, m = matrix.shape(M)
-    U, S, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(n, m)) if not S[i][i].is_zero())
-    return [[V[row][j] for row in range(m)] for j in range(r, m)]
+    return smith_form(M).kernel()
 
 
 def saturate(generators):
@@ -142,61 +207,37 @@ def saturate(generators):
 
     Returns a free basis (columns) of {v : f*v in span for some f != 0}.
     """
-    n, m = matrix.shape(generators)
-    if m == 0:
+    if not generators or not generators[0]:
         return []
-    U, S, V = smith_normal_form(generators)
-    Uinv = pmat_inverse(U)
-    r = sum(1 for i in range(min(n, m)) if not S[i][i].is_zero())
-    return [[Uinv[row][j] for row in range(n)] for j in range(r)]
+    return smith_form(generators).saturation()
 
 
-def solve_over_ring(M, b):
-    """One solution x of M x = b over F_p[y], or None when unsolvable."""
-    n, m = matrix.shape(M)
-    p = M[0][0].p
-    U, S, V = smith_normal_form(M)
-    c = [sum((U[i][j] * b[j] for j in range(n)), Poly.zero(p)) for i in range(n)]
-    z = [Poly.zero(p)] * m
-    for i in range(n):
-        s = S[i][i] if i < min(n, m) else Poly.zero(p)
-        if s.is_zero():
-            if not c[i].is_zero():
-                return None
-        else:
-            q, r = divmod(c[i], s)
-            if not r.is_zero():
-                return None
-            if i < m:
-                z[i] = q
-    return [sum((V[i][j] * z[j] for j in range(m)), Poly.zero(p)) for i in range(m)]
+def solve_over_ring(M, rhs):
+    """For each column b of `rhs`: one solution x of M x = b over F_p[y],
+    or None when it is unsolvable.  One Smith form of M serves them all."""
+    if not rhs:
+        return []
+    return smith_form(M).solve(rhs)
 
 
-def submodule_contains(basis_cols, v) -> bool:
-    """Is the column vector v in the span of basis_cols over F_p[y]?"""
+def submodule_contains(basis_cols, vectors) -> bool:
+    """Does the span of basis_cols over F_p[y] hold every one of `vectors`?"""
     if not basis_cols:
-        return all(x.is_zero() for x in v)
-    n = len(basis_cols[0])
-    M = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(n)]
-    return solve_over_ring(M, list(v)) is not None
+        return all(x.is_zero() for v in vectors for x in v)
+    if not vectors:
+        return True
+    M = matrix.from_columns(basis_cols)
+    return all(x is not None for x in smith_form(M).solve(vectors))
 
 
 def submodule_intersect(A, B):
     """Intersection of two saturated column-span submodules."""
     if not A or not B:
         return []
-    n = len(A[0])
-    p = A[0][0].p
-    M = [[A[j][i] for j in range(len(A))] + [-B[j][i] for j in range(len(B))]
-         for i in range(n)]
-    K = kernel_saturated(M)
-    out = []
-    for k in K:
-        u = k[:len(A)]
-        out.append([sum((A[j][i] * u[j] for j in range(len(A))), Poly.zero(p))
-                    for i in range(n)])
-    # the map ker -> A cap B is an isomorphism, so `out` is already a basis
-    return out
+    Am = matrix.from_columns(A)
+    M = [ra + [-b for b in rb] for ra, rb in zip(Am, matrix.from_columns(B))]
+    # the map ker -> A cap B is an isomorphism, so the images are a basis
+    return [matrix.vec(Am, k[:len(A)]) for k in kernel_saturated(M)]
 
 
 def complete_unimodular(basis_cols, n):
@@ -204,21 +245,17 @@ def complete_unimodular(basis_cols, n):
 
     Returns a square matrix whose first k columns span the same submodule.
     """
-    p = basis_cols[0][0].p if basis_cols else None
     k = len(basis_cols)
     if k == 0:
         raise ValueError("empty basis")
-    M = [[basis_cols[j][i] for j in range(k)] for i in range(n)]
-    U, S, V = smith_normal_form(M)
-    for i in range(k):
-        if S[i][i].is_zero() or not S[i][i].is_constant():
+    M = matrix.from_columns(basis_cols)
+    f = smith_form(M)
+    for s in f.diagonal():
+        if s.is_zero() or not s.is_constant():
             raise ValueError("basis is not saturated/free")
-    Uinv = pmat_inverse(U)
     # columns: images of the basis (span preserved) then fresh directions
-    first = matrix.mul(M, V)
-    cols = [[first[i][j] for i in range(n)] for j in range(k)]
-    cols += [[Uinv[i][j] for i in range(n)] for j in range(k, n)]
-    out = [[cols[j][i] for j in range(n)] for i in range(n)]
+    first = matrix.mul(M, f.V)
+    out = [first[i][:k] + f.Uinv[i][k:] for i in range(n)]
     if not is_unimodular(out):
         raise AssertionError("completion failed unimodularity check")
     return out

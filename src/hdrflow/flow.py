@@ -60,10 +60,6 @@ class SimpsonReport:
     certified: bool          # exact semistability decision available
 
 
-def _cols_mat(cols, r):
-    return [[cols[c][i] for c in range(len(cols))] for i in range(r)]
-
-
 def _nabla_image(con: LogConnectionP1, cols):
     """b*(s' + A0 s) for chart-0 polynomial columns s, b the boundary
     polynomial; the log condition makes every entry polynomial again."""
@@ -81,10 +77,6 @@ def _nabla_image(con: LogConnectionP1, cols):
             img.append(f.num)
         out.append(img)
     return out
-
-
-def _contains_all(step, vectors):
-    return all(polymat.submodule_contains(step, list(v)) for v in vectors)
 
 
 def _step_degree(b: P1Bundle, cols) -> int:
@@ -158,7 +150,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
     if r > p:
         raise ValueError(f"rank {r} exceeds the prime {p}")
     hn = hn_filtration_plain(b)
-    flag = [polymat.saturate(_cols_mat([list(c) for c in step.basis], r))
+    flag = [polymat.saturate(matrix.from_columns(step.basis))
             for step in hn.steps[:-1]]
     stable = False
     its = 0
@@ -167,7 +159,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
         viol = None
         for j in range(len(flag) - 1):
             img = _nabla_image(con, flag[j])
-            if not _contains_all(flag[j + 1], img):
+            if not polymat.submodule_contains(flag[j + 1], img):
                 viol = j
                 break
         if viol is None:
@@ -179,12 +171,12 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
             break
         img = _nabla_image(con, flag[viol])
         gens = [list(c) for c in flag[viol + 1]] + [list(v) for v in img]
-        flag[viol + 1] = polymat.saturate(_cols_mat(gens, r))
+        flag[viol + 1] = polymat.saturate(matrix.from_columns(gens))
         for k in range(viol + 2, len(flag)):
-            if not _contains_all(flag[k], flag[k - 1]):
+            if not polymat.submodule_contains(flag[k], flag[k - 1]):
                 gens = [list(c) for c in flag[k]] + \
                        [list(c) for c in flag[k - 1]]
-                flag[k] = polymat.saturate(_cols_mat(gens, r))
+                flag[k] = polymat.saturate(matrix.from_columns(gens))
         flag = [F for i, F in enumerate(flag)
                 if len(F) < r and (i + 1 == len(flag)
                                    or F != flag[i + 1])]

@@ -149,39 +149,32 @@ def _filtration_field(op: NilpotentOperator) -> WeightFiltration:
     return WeightFiltration(op.p, n, lo, hi, bases)
 
 
-def _cols_of(M, n):
-    return [[M[i][k] for i in range(n)] for k in range(len(M[0]))]
-
-
 def _filtration_module(op: NilpotentOperator) -> WeightFiltration:
     n = op.dim
     chain = _power_chain(op)
     e = len(chain) - 1
-    zero = Poly.zero(op.p)
-    one = Poly.one(op.p)
+    # one Smith form per power N^j (j < e) gives both ker N^j and the
+    # saturation of im N^j; ker N^m is the whole module for m >= e, so those
+    # meets depend on j alone
+    forms = [polymat.smith_form(chain[j]) for j in range(e)]
+    kers = [f.kernel() for f in forms]
+    ims = [f.saturation() for f in forms]
+    whole = matrix.identity(Poly, op.p, n)
+    whole_meets = [polymat.submodule_intersect(whole, im) for im in ims]
 
-    def kerpow(m):
+    def meet(m, j):
         if m <= 0:
             return []
         if m >= e:
-            return [[one if i == j else zero for i in range(n)] for j in range(n)]
-        return polymat.kernel_saturated(chain[m])
-
-    def impow(j):
-        if j >= e:
-            return []
-        return polymat.saturate(chain[j])
+            return whole_meets[j]
+        return polymat.submodule_intersect(kers[m], ims[j])
 
     table = {}
     for k in range(-e, e):
         acc = []
         for j in range(max(0, -k), e):
-            acc.extend(polymat.submodule_intersect(kerpow(k + j + 1), impow(j)))
-        if acc:
-            gen = [[acc[c][i] for c in range(len(acc))] for i in range(n)]
-            table[k] = polymat.saturate(gen)
-        else:
-            table[k] = []
+            acc.extend(meet(k + j + 1, j))
+        table[k] = polymat.saturate(matrix.from_columns(acc)) if acc else []
     lo = next(k for k in range(-e, e) if table[k])
     hi = next(k for k in range(-e, e) if len(table[k]) == n)
     bases = tuple(tuple(tuple(v) for v in table[k]) for k in range(lo, hi + 1))
@@ -216,79 +209,69 @@ def _coords_in_field(F, basis_vectors, v):
     return res.solution
 
 
-def _complement_module(small, big):
-    """Free complement of span(small) inside span(big), both saturated."""
+def _quotient_form(big_form, small):
+    """Smith form of the coordinates of `small` in the basis whose Smith form
+    is `big_form`, or None when a vector of `small` lies outside its span."""
+    X = big_form.solve(small)
+    if any(x is None for x in X):
+        return None
+    return polymat.smith_form(matrix.from_columns(X))
+
+
+def _complement_module(small, big, quotient):
+    """Free complement of span(small) inside span(big), both saturated;
+    `quotient` is the Smith form of the coordinates of small in big."""
     if not small:
         return [list(v) for v in big]
     if len(small) == len(big):
         return []
-    n = len(big[0])
-    p = big[0][0].p
-    B = [[big[j][i] for j in range(len(big))] for i in range(n)]
-    X = []
-    for s in small:
-        x = polymat.solve_over_ring(B, list(s))
-        if x is None:
-            raise AssertionError("filtration steps are not nested")
-        X.append(x)
-    Xm = [[X[c][r] for c in range(len(X))] for r in range(len(big))]
-    U, S, V = polymat.smith_normal_form(Xm)
-    r = sum(1 for i in range(min(len(small), len(big))) if not S[i][i].is_zero())
-    Uinv = polymat.pmat_inverse(U)
-    out = []
-    for col in range(r, len(big)):
-        coords = [Uinv[row][col] for row in range(len(big))]
-        vec = [sum((big[j][i] * coords[j] for j in range(len(big))),
-                   Poly.zero(p)) for i in range(n)]
-        out.append(vec)
-    return out
+    if quotient is None:
+        raise AssertionError("filtration steps are not nested")
+    B = matrix.from_columns(big)
+    return [matrix.vec(B, [row[col] for row in quotient.Uinv])
+            for col in range(quotient.rank, len(big))]
 
 
-def _coords_in_module(basis_vectors, v):
+def _complement(op, filt, w):
+    """A basis of Gr_w lifted to M_w: a complement of M_{w-1} inside M_w."""
+    small, big = filt.basis_at(w - 1), filt.basis_at(w)
+    if not op.over_ring:
+        return _complement_field(Fp(op.p), small, big)
+    q = None
+    if small and len(small) != len(big):
+        q = _quotient_form(polymat.smith_form(matrix.from_columns(big)), small)
+    return _complement_module(small, big, q)
+
+
+def _coords_in_module(basis_vectors, vectors):
+    """Coordinates of each vector in the basis, or None where it lies outside
+    the span; one Smith form for the whole batch."""
     if not basis_vectors:
-        return [] if all(x.is_zero() for x in v) else None
-    n = len(basis_vectors[0])
-    B = [[basis_vectors[j][i] for j in range(len(basis_vectors))]
-         for i in range(n)]
-    return polymat.solve_over_ring(B, list(v))
+        return [[] if all(x.is_zero() for x in v) else None for v in vectors]
+    return polymat.solve_over_ring(matrix.from_columns(basis_vectors), vectors)
 
 
-def _graded_map(op, filt, power_matrix, src, dst):
-    """Matrix of N^k: Gr_src -> Gr_dst in complement bases.
-
-    Returns (matrix_cols_by_src, comp_src, comp_dst) or (None, ., .) when some
-    image fails to land in M_dst (ill-defined map).
+def _graded_map(op, filt, power_matrix, dst, comp_s, comp_d):
+    """Matrix of N^k: Gr_src -> Gr_dst in the complement bases comp_s of
+    Gr_src and comp_d of Gr_dst, or None when some image fails to land in
+    M_dst (ill-defined map).
     Matrix convention: entry [t][s] = coefficient of dst complement vector t
     in the image of src complement vector s.
     """
+    below = list(filt.basis_at(dst - 1))
+    full_d = below + [tuple(v) for v in comp_d]
     if op.over_ring:
-        comp_s = _complement_module(list(filt.basis_at(src - 1)),
-                                    list(filt.basis_at(src)))
-        comp_d = _complement_module(list(filt.basis_at(dst - 1)),
-                                    list(filt.basis_at(dst)))
-        full_d = list(filt.basis_at(dst - 1)) + [tuple(v) for v in comp_d]
-        rows = []
-        for v in comp_s:
-            w = [sum((power_matrix[i][j] * v[j] for j in range(op.dim)),
-                     Poly.zero(op.p)) for i in range(op.dim)]
-            x = _coords_in_module(full_d, w)
-            if x is None:
-                return None, comp_s, comp_d
-            rows.append(x[len(filt.basis_at(dst - 1)):])
+        xs = _coords_in_module(
+            full_d, [matrix.vec(power_matrix, v) for v in comp_s])
     else:
         F = Fp(op.p)
-        comp_s = _complement_field(F, filt.basis_at(src - 1), filt.basis_at(src))
-        comp_d = _complement_field(F, filt.basis_at(dst - 1), filt.basis_at(dst))
-        full_d = list(filt.basis_at(dst - 1)) + comp_d
-        rows = []
-        for v in comp_s:
-            w = linalg.mat_vec(F, power_matrix, v)
-            x = _coords_in_field(F, full_d, w)
-            if x is None:
-                return None, comp_s, comp_d
-            rows.append(x[len(filt.basis_at(dst - 1)):])
-    mat = [[rows[s][t] for s in range(len(comp_s))] for t in range(len(comp_d))]
-    return mat, comp_s, comp_d
+        xs = [_coords_in_field(F, full_d, linalg.mat_vec(F, power_matrix, v))
+              for v in comp_s]
+    if any(x is None for x in xs):
+        return None
+    rows = [x[len(below):] for x in xs]
+    return [[rows[s][t] for s in range(len(comp_s))]
+            for t in range(len(comp_d))]
 
 
 def _invertible_graded(op, mat, nsrc, ndst) -> bool:
@@ -327,41 +310,55 @@ def verify_filtration_axioms(op: NilpotentOperator,
     witness = []
 
     if op.over_ring:
-        def contains(w, v):
-            return polymat.submodule_contains(
-                [list(b) for b in filt.basis_at(w)], list(v))
+        # one Smith form per filtration step, and one of the coordinates of
+        # M_{w-1} in M_w where the step grows, answer every question below
+        forms = {w: polymat.smith_form(matrix.from_columns(filt.basis_at(w)))
+                 for w in filt.weights() if filt.basis_at(w)}
+        quotients = {}
+        for w in filt.weights():
+            small = filt.basis_at(w - 1)
+            if small and len(small) != len(filt.basis_at(w)):
+                quotients[w] = (_quotient_form(forms[w], small) if w in forms
+                                else None)
+
+        def contains(w, vs):
+            form = forms.get(min(w, filt.hi))
+            if form is None:
+                return all(x.is_zero() for v in vs for x in v)
+            return all(x is not None for x in form.solve(vs))
 
         def apply(Nm, v):
-            return [sum((Nm[i][j] * v[j] for j in range(n)), Poly.zero(op.p))
-                    for i in range(n)]
+            return matrix.vec(Nm, v)
+
+        def complement(w):
+            return _complement_module(filt.basis_at(w - 1), filt.basis_at(w),
+                                      quotients.get(w))
     else:
         F = Fp(op.p)
 
-        def contains(w, v):
-            return linalg.subspace_contains(
-                F, [list(b) for b in filt.basis_at(w)], list(v))
+        def contains(w, vs):
+            B = [list(b) for b in filt.basis_at(w)]
+            return all(linalg.subspace_contains(F, B, list(v)) for v in vs)
 
         def apply(Nm, v):
             return linalg.mat_vec(F, Nm, v)
 
+        def complement(w):
+            return _complement(op, filt, w)
+
     increasing = True
     for w in range(filt.lo, filt.hi + 1):
-        for v in filt.basis_at(w - 1):
-            if not contains(w, v):
-                increasing = False
-                witness.append(f"M_{w-1} not inside M_{w}")
-                break
+        if not contains(w, filt.basis_at(w - 1)):
+            increasing = False
+            witness.append(f"M_{w-1} not inside M_{w}")
 
     exhaustive = filt.rank_at(filt.hi) == n
 
     shift = True
     for w in range(filt.lo, filt.hi + 3):
-        for v in filt.basis_at(w):
-            if not contains(w - 2, apply(chain[1], v)):
-                shift = False
-                witness.append(f"N M_{w} escapes M_{w-2}")
-                break
-        if not shift:
+        if not contains(w - 2, [apply(chain[1], v) for v in filt.basis_at(w)]):
+            shift = False
+            witness.append(f"N M_{w} escapes M_{w-2}")
             break
 
     graded_iso = True
@@ -373,7 +370,8 @@ def verify_filtration_axioms(op: NilpotentOperator,
             witness.append(f"rank Gr_{i} = {r_pos} != {r_neg} = rank Gr_{-i}")
             continue
         Nm = chain[min(i, e)]
-        mat, cs, cd = _graded_map(op, filt, Nm, i, -i)
+        cs, cd = complement(i), complement(-i)
+        mat = _graded_map(op, filt, Nm, -i, cs, cd)
         if mat is None or not _invertible_graded(op, mat, len(cs), len(cd)):
             graded_iso = False
             witness.append(f"N^{i}: Gr_{i} -> Gr_{-i} not invertible")
@@ -381,34 +379,18 @@ def verify_filtration_axioms(op: NilpotentOperator,
     saturated = True
     torsion_free = True
     if op.over_ring:
-        for w in range(filt.lo, filt.hi + 1):
-            B = [list(b) for b in filt.basis_at(w)]
-            if not B:
-                continue
-            gen = [[B[c][i] for c in range(len(B))] for i in range(n)]
-            sat = polymat.saturate(gen)
-            if len(sat) != len(B) or not all(
-                    polymat.submodule_contains(B, v) for v in sat):
+        for w, form in forms.items():
+            sat = form.saturation()
+            if len(sat) != len(filt.basis_at(w)) or not all(
+                    x is not None for x in form.solve(sat)):
                 saturated = False
                 witness.append(f"M_{w} is not saturated")
-        for w in range(filt.lo, filt.hi + 1):
-            small = list(filt.basis_at(w - 1))
-            big = list(filt.basis_at(w))
-            if not small or len(small) == len(big):
-                continue
-            Bm = [[big[j][i] for j in range(len(big))] for i in range(n)]
-            X = []
-            for s in small:
-                x = polymat.solve_over_ring(Bm, list(s))
-                if x is None:
-                    torsion_free = False
-                    break
-                X.append(x)
-            if not torsion_free:
+        for w, q in quotients.items():
+            if q is None:
+                torsion_free = False
                 witness.append(f"M_{w-1} not inside M_{w}")
                 break
-            Xm = [[X[c][r] for c in range(len(X))] for r in range(len(big))]
-            for s in polymat.smith_diagonal(Xm):
+            for s in q.diagonal():
                 if not s.is_zero() and not s.is_constant():
                     torsion_free = False
                     witness.append(f"Gr_{w} has torsion {s}")
@@ -450,7 +432,9 @@ def primitive_parts(op: NilpotentOperator,
         if filt.graded_rank(j) == 0:
             continue
         Nm = chain[min(j + 1, e)]
-        mat, comp_s, _ = _graded_map(op, filt, Nm, j, -j - 2)
+        comp_s = _complement(op, filt, j)
+        mat = _graded_map(op, filt, Nm, -j - 2, comp_s,
+                          _complement(op, filt, -j - 2))
         if mat is None:
             raise AssertionError("graded map ill-defined; filtration invalid")
         if op.over_ring:
@@ -497,7 +481,6 @@ def primitive_decomposition(op: NilpotentOperator, filt: WeightFiltration,
     """Certify Gr_w = direct sum of N^i P_{w+2i} over i >= max(0, -w)."""
     chain = _power_chain(op)
     e = len(chain) - 1
-    n = op.dim
     rows = []
     for w in range(filt.lo, filt.hi + 1):
         g = filt.graded_rank(w)
@@ -507,10 +490,7 @@ def primitive_decomposition(op: NilpotentOperator, filt: WeightFiltration,
             j = w + 2 * i
             for v in prims.lifts(j):
                 if op.over_ring:
-                    Nm = chain[min(i, e)]
-                    translates.append([
-                        sum((Nm[r][c] * v[c] for c in range(n)),
-                            Poly.zero(op.p)) for r in range(n)])
+                    translates.append(matrix.vec(chain[min(i, e)], v))
                 else:
                     translates.append(linalg.mat_vec(Fp(op.p), chain[min(i, e)],
                                                      list(v)))
@@ -519,17 +499,11 @@ def primitive_decomposition(op: NilpotentOperator, filt: WeightFiltration,
             continue
         # project the translates to Gr_w coordinates and test independence
         if op.over_ring:
-            comp = _complement_module(list(filt.basis_at(w - 1)),
-                                      list(filt.basis_at(w)))
-            full = list(filt.basis_at(w - 1)) + [tuple(v) for v in comp]
-            coords = []
-            ok = True
-            for t in translates:
-                x = _coords_in_module(full, t)
-                if x is None:
-                    ok = False
-                    break
-                coords.append(x[len(filt.basis_at(w - 1)):])
+            full = list(filt.basis_at(w - 1)) + [
+                tuple(v) for v in _complement(op, filt, w)]
+            xs = _coords_in_module(full, translates)
+            ok = all(x is not None for x in xs)
+            coords = [x[len(filt.basis_at(w - 1)):] for x in xs] if ok else []
             if ok and total == g:
                 M = [[coords[c][r] for c in range(total)] for r in range(g)]
                 ind = g == 0 or not matrix.det(M).is_zero()
@@ -537,8 +511,7 @@ def primitive_decomposition(op: NilpotentOperator, filt: WeightFiltration,
                 ind = total == 0 and g == 0
         else:
             F = Fp(op.p)
-            comp = _complement_field(F, filt.basis_at(w - 1), filt.basis_at(w))
-            full = list(filt.basis_at(w - 1)) + comp
+            full = list(filt.basis_at(w - 1)) + _complement(op, filt, w)
             coords = []
             ok = True
             for t in translates:
@@ -664,9 +637,8 @@ def same_filtration(a: WeightFiltration, b: WeightFiltration) -> bool:
         if over_ring:
             if len(A) != len(B):
                 return False
-            if not all(polymat.submodule_contains(B, v) for v in A):
-                return False
-            if not all(polymat.submodule_contains(A, v) for v in B):
+            if not (polymat.submodule_contains(B, A)
+                    and polymat.submodule_contains(A, B)):
                 return False
         else:
             if not linalg.subspace_eq(Fp(a.p), A, B):

@@ -278,17 +278,13 @@ def upsilon0(m: LY0Module) -> Upsilon0Data:
             cuts.append(nw)
             continue
         if cols:
-            bw = [[basis[j][i] for j in range(nw)] for i in range(r)]
-            coords = []
-            for c in cols:
-                x = solve_over_ring(bw, list(c))
-                if x is None:
-                    raise AssertionError("filtration steps are not nested")
-                coords.append(x)
+            bw = matrix.from_columns(basis)
+            coords = solve_over_ring(bw, cols)
+            if any(x is None for x in coords):
+                raise AssertionError("filtration steps are not nested")
             comp = complete_unimodular(coords, nw)
-            ext_cols = coords + [[comp[i][j] for i in range(nw)]
-                                 for j in range(len(cols), nw)]
-            ext = [[ext_cols[j][i] for j in range(nw)] for i in range(nw)]
+            ext = [[x[i] for x in coords] + comp[i][len(cols):]
+                   for i in range(nw)]
             frame_w = matrix.mul(bw, ext)
             cols = [[frame_w[i][j] for i in range(r)] for j in range(nw)]
         else:
@@ -339,24 +335,18 @@ def pair_nilpotency_level(m: LocalLogHiggsModule):
     a + b = l + 1 vanishes, or None when the pair is not nilpotent."""
     p, r = m.p, m.rank
 
-    def mpow(M, k):
-        out = matrix.identity(BiPoly, p, r)
-        for _ in range(k):
-            out = matrix.mul(out, M)
+    def powers(M):  # M^0 .. M^(2r-1), each product taken once
+        out = [matrix.identity(BiPoly, p, r)]
+        for _ in range(2 * r - 1):
+            out.append(matrix.mul(out[-1], M))
         return out
 
-    if not (matrix.is_zero(mpow(m.theta_x, r))
-            and matrix.is_zero(mpow(m.theta_y, r))):
+    px, py = powers(m.theta_x), powers(m.theta_y)
+    if not (matrix.is_zero(px[r]) and matrix.is_zero(py[r])):
         return None
     for lv in range(2 * r - 1):
-        ok = True
-        for a in range(lv + 2):
-            b = lv + 1 - a
-            if not matrix.is_zero(matrix.mul(mpow(m.theta_x, a),
-                                             mpow(m.theta_y, b))):
-                ok = False
-                break
-        if ok:
+        if all(matrix.is_zero(matrix.mul(px[a], py[lv + 1 - a]))
+               for a in range(lv + 2)):
             return lv
     return 2 * r - 2
 

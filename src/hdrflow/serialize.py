@@ -84,6 +84,12 @@ class ParseError(ValueError):
     pass
 
 
+# Largest |exponent| a term may carry, summed over repeated factors: a
+# polynomial is stored densely, so x^e costs e + 1 coefficients.  About 100
+# times the largest exponent any test, selftest or benchmark document uses.
+MAX_EXPONENT = 10_000
+
+
 def _tokenize(s: str):
     toks = []
     i, n = 0, len(s)
@@ -160,6 +166,9 @@ def _parse_terms(toks, varnames, coeff_from_fraction):
                 else:
                     pass
                 powers[t] = powers.get(t, 0) + e
+                if abs(powers[t]) > MAX_EXPONENT:
+                    raise ParseError(f"exponent of {t} exceeds {MAX_EXPONENT}"
+                                     f" in absolute value")
                 i += 1
             else:
                 raise ParseError(f"unexpected token {t!r}")

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from hdrflow import chern
+from hdrflow.exact import polymat
 from hdrflow.cli import main
+from hdrflow.serialize import (MAX_EXPONENT, ParseError, parse_laurent,
+                               parse_poly)
 
 UNI3 = {
     "p": 3,
@@ -345,6 +349,41 @@ def test_entry_errors_carry_the_location(capsys):
     assert rep["location"] == "input.theta[1][1]"
 
 
+# one exponent past the bound, so a missing bound costs seconds, not memory
+OVER = f"{MAX_EXPONENT + 1}"
+
+
+@pytest.mark.parametrize("command, doc, location", [
+    ("monodromy", {"p": 3, "matrix": [["0", "y^" + OVER], ["0", "0"]]},
+     "input.matrix[0][1]"),
+    ("split", {"p": 3, "rows": [["1", "0"], ["0", "x^-" + OVER]]},
+     "input.rows[1][1]"),
+    ("flow", dict(UNI3, theta=[["0", "0"], ["(1)/(x^" + OVER + " + 2*x)",
+                                            "0"]]),
+     "input.theta[1][0]"),
+    ("cartier", dict(UNI5, theta=[["0", "0"], ["x^" + OVER, "0"]]),
+     "input.theta[1][0]"),
+    ("nearby-check", {"p": 5, "theta_x": [["0", "1"], ["0", "0"]],
+                      "theta_y": [["0", "x*y^" + OVER], ["0", "0"]]},
+     "input.theta_y[0][1]"),
+])
+def test_oversized_exponent_is_refused_at_its_entry(capsys, command, doc,
+                                                    location):
+    code, rep = run_json(capsys, command, "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["location"] == location
+    assert str(MAX_EXPONENT) in rep["error"]
+
+
+def test_exponent_bound_is_inclusive_and_sums_repeated_factors():
+    assert parse_poly(f"y^{MAX_EXPONENT}", 3, "y").degree == MAX_EXPONENT
+    half = MAX_EXPONENT // 2 + 1
+    with pytest.raises(ParseError):
+        parse_poly(f"y^{half}*y^{half}", 3, "y")
+    with pytest.raises(ParseError):
+        parse_laurent("x^-" + OVER, 3)
+
+
 def test_unknown_flag_exits_with_input_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["split", "--bogus"])
@@ -436,6 +475,80 @@ FROZEN_DISCRIMINANTS = [
      "160860b64d6d99da76f1a1d4f8860634d753b50b6303a5823b5effaf4272a78b"),
 ]
 
+
+# Monodromy over F_p[y] in dimensions 3, 4 and 5 (p = 3, 5, 7), one operator
+# over F_p, and nearby-check at ranks 2 and 3 with and without the log pole
+# along y = 0: the rendered reports, byte for byte.
+MONODROMY_DIM5 = {"p": 7, "matrix": [
+    ["y^2 + y", "5*y^3 + 4*y^2 + 3*y", "6*y^3 + 6*y^2",
+     "4*y^3 + 2*y^2 + 6*y + 6", "y^3 + 2*y^2 + 4*y + 6"],
+    ["3*y", "y^2 + 2*y", "4*y^2", "5*y^2 + y + 5", "3*y^2 + 4*y + 1"],
+    ["2*y + 3", "3*y^2 + 3*y + 2", "5*y^2 + 4*y", "y^2 + y + 2",
+     "2*y^2 + 4*y + 1"],
+    ["0", "0", "0", "0", "6*y + 2"],
+    ["0", "0", "0", "0", "0"]]}
+
+NEARBY_RANK3 = {"p": 7, "y_log": True,
+                "theta_x": [["0", "6*x*y + y", "4*x*y + x + 5*y + 1"],
+                            ["0", "0", "6*x*y + y"], ["0", "0", "0"]],
+                "theta_y": [["0", "4*x*y + 5*x + 3*y + 4",
+                             "3*x*y + 4*x + 4*y + 6"],
+                            ["0", "0", "4*x*y + 5*x + 3*y + 4"],
+                            ["0", "0", "0"]]}
+
+FROZEN_LOCAL = [
+    ("monodromy", {"p": 3, "matrix": [
+        ["y + 2", "y + 2", "y + 2"],
+        ["y^3 + 2*y^2 + 2*y + 1", "y^3 + 2*y^2 + 2*y + 1", "y^3 + 2*y + 1"],
+        ["2*y^3 + 2*y^2 + 2*y", "2*y^3 + 2*y^2 + 2*y", "2*y^3 + y^2"]]},
+     "3f2238eaaa65d796dad829577017710a34e7d0aab127236623eb012d615fbfd1"),
+    ("monodromy", {"p": 5, "matrix": [
+        ["0", "4*y^2 + 4*y + 3", "3*y^2 + y + 3", "4*y^3 + 2*y^2"],
+        ["0", "3*y^4 + y^3 + 2*y^2 + 4*y", "y^4 + 4*y^3 + 2*y",
+         "3*y^5 + 2*y^4 + 2*y^3 + 4*y^2 + 4"],
+        ["0", "4*y^2 + y", "3*y^2 + 2", "4*y^3 + 4*y^2 + y + 1"],
+        ["0", "2*y^3 + 3*y", "4*y^3 + 3*y^2 + 4*y + 1",
+         "2*y^4 + 4*y^3 + y + 3"]]},
+     "3405f8f557accfac9f266e9db9180a27ff0238336bbdcbd86b5890e75c9c85e2"),
+    ("monodromy", {"p": 7, "matrix": [
+        ["3*y^5 + 6*y^4 + 5*y^3 + 4*y + 4", "6*y + 1", "y^2 + 4", "y^3 + y",
+         "y^4 + y^3 + y^2 + 6*y + 6"],
+        ["4*y^4 + 5*y^2 + y + 2", "0", "6*y + 2", "6*y^2 + 2*y + 3",
+         "6*y^3 + y^2 + 5*y + 3"],
+        ["3*y^6 + 6*y^5 + 5*y^4 + 2*y^3 + y^2 + 6*y", "6*y^2 + y",
+         "y^3 + 4*y", "y^4 + y^2", "y^5 + y^4 + y^3 + 2*y^2 + 2*y"],
+        ["5*y^2 + 3*y + 5", "0", "0", "0", "4*y + 4"],
+        ["5*y^6 + y^5 + 2*y^4 + 6*y^3 + 2*y^2 + 4*y + 2", "3*y^2 + 4",
+         "4*y^3 + 4*y^2 + 2*y + 2", "4*y^4 + 4*y^3 + 4*y^2 + 4*y",
+         "4*y^5 + y^4 + y^3 + 6*y + 3"]]},
+     "65470bc45401c7e04902eda95a44bbe864087be6ee356d91c592a30382657f30"),
+    ("monodromy", MONODROMY_DIM5,
+     "4f7bc6a81aba947955a7adf515b19703284268e68f51b07be79a09786c96f32b"),
+    # Jordan type (3, 2, 1) over F_5 behind a random frame
+    ("monodromy", {"p": 5, "matrix": [
+        [2, 2, 3, 0, 2, 4], [0, 4, 2, 2, 2, 3], [4, 1, 1, 3, 1, 3],
+        [2, 3, 3, 4, 3, 4], [0, 2, 0, 3, 2, 0], [4, 2, 2, 0, 1, 2]]},
+     "4a207c5560afc6b45ef365753960ba2f458179624c31e4453343dba234ffa3d4"),
+    ("nearby-check", {"p": 3, "y_log": False,
+                      "theta_x": [["0", "y + 1"], ["0", "0"]],
+                      "theta_y": [["0", "x*y + 2*x + 2"], ["0", "0"]]},
+     "b5c4680a56f40640011b6b7b0136f2e3c84875335d1328e00bd01648743389ce"),
+    ("nearby-check", {"p": 5, "y_log": True,
+                      "theta_x": [["0", "4*x*y + 4*y + 2"], ["0", "0"]],
+                      "theta_y": [["0", "x*y + x + 2*y"], ["0", "0"]]},
+     "c9cd4f07648c0e8fbc37e17854def271b24473a0503afb66fbe8e904a9284698"),
+    ("nearby-check", {"p": 5, "y_log": False,
+                      "theta_x": [["0", "4*x*y + y", "2*x*y + x + 2*y + 4"],
+                                  ["0", "0", "4*x*y + y"], ["0", "0", "0"]],
+                      "theta_y": [["0", "3*x*y + 2*x + y + 2",
+                                   "x*y + 2*x + 4*y"],
+                                  ["0", "0", "3*x*y + 2*x + y + 2"],
+                                  ["0", "0", "0"]]},
+     "da3ad4ced46d5b676919bbc3d69182043cbe611414499e82a7cd57d5eccff126"),
+    ("nearby-check", NEARBY_RANK3,
+     "c736a96c9c62ae6bbab775b64ccc00579c79d1a8451f9fb20ae752d2e43b1d65"),
+]
+
 @pytest.mark.parametrize("doc, want", FROZEN_SPLITS)
 def test_split_report_is_frozen(capsys, doc, want):
     code, out = run_text(capsys, "split", "--json", "--input", json.dumps(doc))
@@ -456,3 +569,36 @@ def test_discriminants_report_is_frozen(capsys, doc, digest):
                          "--input", json.dumps(doc))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, doc, digest", FROZEN_LOCAL)
+def test_local_report_is_frozen(capsys, command, doc, digest):
+    code, out = run_text(capsys, command, "--json", "--input", json.dumps(doc))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, doc, bound", [
+    ("monodromy", MONODROMY_DIM5, 54),
+    ("nearby-check", NEARBY_RANK3, 29),
+])
+def test_local_work_is_frozen(capsys, monkeypatch, command, doc, bound):
+    """U^-1 comes out of the Smith elimination, never from an adjugate, and
+    one Smith form serves every right-hand side against the same matrix."""
+    smith, inverse = polymat.smith_form, polymat.pmat_inverse
+    eliminations = []
+    callers = []
+
+    def counted_smith(M):
+        eliminations.append(len(M))
+        return smith(M)
+
+    def counted_inverse(M):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inverse(M)
+    monkeypatch.setattr(polymat, "smith_form", counted_smith)
+    monkeypatch.setattr(polymat, "pmat_inverse", counted_inverse)
+    code, rep = run_json(capsys, command, "--input", json.dumps(doc))
+    assert code == 0 and rep["status"] == "pass"
+    assert not {"saturate", "complete_unimodular"} & set(callers)
+    assert len(eliminations) <= bound
