@@ -239,10 +239,6 @@ class GradedClass:
             out[s] = self.coeffs[s]
         return self._dense(self.ring, out)
 
-    def max_degree(self) -> int:
-        nz = _support(self.coeffs)
-        return self.ring.basis_weight[nz.stop - 1] if nz else 0
-
     def scalar_part(self) -> Fraction:
         return Fraction(self.coeffs[0])
 

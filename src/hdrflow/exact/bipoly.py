@@ -158,10 +158,6 @@ class BiPoly:
         """Set u = 0; result is a Poly in v."""
         return Poly(self.p, [f[0] for f in self.cs])
 
-    def restrict_v0(self) -> Poly:
-        """Set v = 0; result is a Poly in u."""
-        return self[0]
-
     def frobenius(self) -> "BiPoly":
         """Substitute (u, v) -> (u^p, v^p)."""
         out = [Poly.zero(self.p)] * (self.p * (len(self.cs) - 1) + 1) if self.cs else []
@@ -180,20 +176,6 @@ class BiPoly:
 
     def mul_v(self, k: int = 1) -> "BiPoly":
         return BiPoly(self.p, [Poly.zero(self.p)] * k + list(self.cs))
-
-    def swap_vars(self) -> "BiPoly":
-        """Exchange the roles of u and v."""
-        n = max((f.degree for f in self.cs), default=-1)
-        rows = []
-        for i in range(n + 1):
-            rows.append(Poly(self.p, [f[i] for f in self.cs]))
-        return BiPoly(self.p, rows)
-
-    def deg_u(self) -> int:
-        return max((f.degree for f in self.cs), default=-1)
-
-    def deg_v(self) -> int:
-        return len(self.cs) - 1
 
     def __repr__(self):
         from ..serialize import bipoly_str

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .rings import Fp
+
 
 def mat_shape(M):
     return len(M), len(M[0]) if M else 0
@@ -53,6 +55,8 @@ def transpose(M):
 
 def rref(F, M):
     """Reduced row echelon form. Returns (R, pivot column list)."""
+    if type(F) is Fp:
+        return _rref_fp(F.p, M)
     R = [list(row) for row in M]
     n, m = mat_shape(R)
     pivots = []
@@ -75,6 +79,39 @@ def rref(F, M):
     return R[:r] + [[F.zero] * m for _ in range(n - r)], pivots
 
 
+def _rref_fp(p, M):
+    """`rref` over F_p on plain ints: the same steps and the same result,
+    with every entry reduced once up front and `% p` written inline."""
+    R = [[a % p for a in row] for row in M]
+    n, m = mat_shape(R)
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        piv = R[r]
+        # the pivot row is zero left of c: only its support takes part
+        nz = [(j, b) for j, b in enumerate(piv[c:], c) if b]
+        inv = pow(piv[c], p - 2, p)
+        if inv != 1:
+            nz = [(j, inv * b % p) for j, b in nz]
+            for j, b in nz:
+                piv[j] = b
+        for i in range(n):
+            f = R[i][c]
+            if f and i != r:
+                row = R[i]
+                for j, b in nz:
+                    row[j] = (row[j] - f * b) % p
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return R[:r] + [[0] * m for _ in range(n - r)], pivots
+
+
 def rank(F, M):
     return len(rref(F, M)[1])
 
@@ -84,10 +121,20 @@ def kernel_basis(F, M):
     n, m = mat_shape(M)
     R, pivots = rref(F, M)
     pivset = set(pivots)
+    free = [c for c in range(m) if c not in pivset]
     basis = []
-    for c in range(m):
-        if c in pivset:
-            continue
+    if type(F) is Fp:
+        p = F.p
+        cols = list(zip(*R[:len(pivots)])) or [()] * m
+        for c in free:
+            v = [0] * m
+            v[c] = 1
+            for pc, a in zip(pivots, cols[c]):
+                if a:
+                    v[pc] = p - a  # -a, as a is reduced
+            basis.append(v)
+        return basis
+    for c in free:
         v = [F.zero] * m
         v[c] = F.one
         for i, pc in enumerate(pivots):

@@ -54,13 +54,6 @@ class Poly:
             raise ValueError("monomial exponent must be >= 0")
         return cls(p, (0,) * k + (a,))
 
-    @classmethod
-    def from_roots(cls, p, roots):
-        f = cls.one(p)
-        for r in roots:
-            f = f * cls(p, (-r, 1))
-        return f
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -336,9 +329,6 @@ class RatFun:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_poly(self):
-        return self.den.is_one()
-
     def to_poly(self) -> Poly:
         if not self.den.is_one():
             raise ValueError("not a polynomial")
@@ -430,12 +420,6 @@ class RatFun:
             return 1 << 30
         return self.num.order_at(c) - self.den.order_at(c)
 
-    def order_at_infinity(self) -> int:
-        """Valuation in 1/x at infinity: deg den - deg num."""
-        if self.is_zero():
-            return 1 << 30
-        return self.den.degree - self.num.degree
-
     def dilate(self, m: int, lam: int = 1):
         return RatFun(self.num.dilate(m, lam), self.den.dilate(m, lam))
 
@@ -444,17 +428,6 @@ class RatFun:
         dn, dd = max(self.num.degree, 0), max(self.den.degree, 0)
         n = max(dn, dd)
         return RatFun(self.num.reverse(n), self.den.reverse(n))
-
-    def compose_poly(self, g: Poly):
-        """f(g(x))."""
-        return RatFun(self.num.compose(g), self.den.compose(g))
-
-    def residue_at(self, c: int) -> int:
-        """Residue of f dx at a point with at most a simple pole."""
-        shifted = self * RatFun(Poly(self.p, (-c, 1)))
-        if shifted.order_at(c) < 0:
-            raise ValueError(f"pole of order > 1 at {c}")
-        return shifted.eval(c)
 
     def __repr__(self):
         from ..serialize import ratfun_str

@@ -3,11 +3,10 @@
 Elements of F_p are plain ints reduced to [0, p); the prime travels with the
 containing object (polynomial, matrix context).  The generic linear algebra in
 `linalg` is written against the small ops interface below so the same
-elimination code runs over F_p, Q and rational-function fields.
+elimination code runs over F_p and rational-function fields; `linalg` runs
+`Fp` itself on plain ints.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                     59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -57,54 +56,6 @@ class Fp:
 
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
-
-    def elements(self):
-        return range(self.p)
-
-
-class QQ:
-    """Field ops for exact rationals (fractions.Fraction)."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def canon(a):
-        return a if isinstance(a, Fraction) else Fraction(a)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
-    @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
-    @staticmethod
-    def eq(a, b) -> bool:
-        return a == b
 
 
 class ObjField:

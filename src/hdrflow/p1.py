@@ -6,11 +6,15 @@ line bundle with transition x^(-a) is O(a), so deg E = sum of the splitting
 type and H^0(O(a)) is spanned by 1, x, ..., x^a on chart 0.
 
 The splitting algorithm peels off a maximal-degree line subbundle: the twist
-E(-a) first acquires sections at a = max a_i (found by an upward scan of an
-exact Cech section probe whose degree bound comes from the adjugate), such a
-section is automatically primitive in both charts, and completing it to
-unimodular frames leaves a rank r-1 quotient with all degrees <= 0, where the
-leftover off-diagonal row dies by an exponent split.  The frame changes are
+E(-a) first acquires sections at a = max a_i, such a section is
+automatically primitive in both charts, and completing it to unimodular
+frames leaves a rank r-1 quotient with all degrees <= 0, where the leftover
+off-diagonal row dies by an exponent split.  a is found by an upward scan
+of an exact Cech section probe.  One det and one adjugate of T per level
+bound the section degree at every twist and the scan itself (a <= top
+exponent of adj T minus that of det T); each probe is a sparse F_p system
+built from the supports of T's entries, so the scan costs one solve per
+twist, linear in the spread of the type.  The frame changes are
 certified afterwards: U unimodular over F_p[1/x], V unimodular over F_p[x],
 U T V exactly diagonal.
 """
@@ -107,55 +111,67 @@ def frobenius_pullback(b: P1Bundle) -> P1Bundle:
 
 # ------------------------------------------------------------ section probe
 
-def _section_basis(p: int, T, m: int):
-    """Chart-0 polynomial vectors s with (T x^(-m)) s regular on chart 1.
-
-    Exact Cech kernel: the adjugate of the twisted transition bounds the
-    x-degree of any section, so the condition "no positive exponents after
-    crossing charts" is a finite F_p-linear system.
-    """
-    r, _ = matrix.shape(T)
-    Tm = [[a.shift(-m) for a in row] for row in T]
-    det = matrix.det(Tm)
+def _det_exponent(T):
+    """(k, c) with det T = c x^k; ValueError unless det T is a unit."""
+    det = matrix.det(T)
     if not det.is_unit():
         raise ValueError("transition matrix is not invertible")
-    ((k, _),) = det.d.items()
-    adj = matrix.adjugate(Tm)
-    exps = [a.max_exp() for row in adj for a in row if not a.is_zero()]
-    if not exps:
+    ((k, c),) = det.d.items()
+    return k, c
+
+
+def _probe_bounds(T, k: int):
+    """(lim, top) for the section probes of T at every twist, det T = c x^k.
+
+    det(T x^(-m)) = x^(-rm) det T and adj(T x^(-m)) = x^(-(r-1)m) adj T, so
+    with e0 the top exponent of adj T a section of E(-m) has x-degree at
+    most lim + m, where lim = e0 - k, and (T x^(-m)) s has no exponent above
+    top = (top exponent of T) + lim, the same for every m.
+    """
+    adj = matrix.adjugate(T)
+    lim = max(a.max_exp() for row in adj for a in row if not a.is_zero()) - k
+    return lim, max(a.max_exp() for row in T for a in row
+                    if not a.is_zero()) + lim
+
+
+def _section_basis(p: int, T, m: int, bounds=None):
+    """Chart-0 polynomial vectors s with (T x^(-m)) s regular on chart 1,
+    as F_p vectors holding the coefficients of s_0, ..., s_(r-1) in blocks
+    of width lim + m + 1 (lim from `_probe_bounds`).
+
+    Exact Cech kernel: the adjugate bounds the x-degree of any section (see
+    `_probe_bounds`; pass its result to probe many twists of one T), so the
+    condition "no positive exponents after crossing charts" is a finite
+    F_p-linear system.  Its rows, one per row i of T and exponent g >= 1 of
+    x, are built from the supports of the entries; only the nonzero ones
+    are kept, in (i, g) order.
+    """
+    if bounds is None:
+        bounds = _probe_bounds(T, _det_exponent(T)[0])
+    lim, top = bounds
+    width = lim + m + 1
+    if width <= 0:
         return []
-    bound = max(exps) - k
-    if bound < 0:
-        return []
-    width = bound + 1
-    top = max(e for row in Tm for a in row if not a.is_zero()
-              for e in [a.max_exp()]) + bound
-    if top < 1:
+    r = len(T)
+    rows = []
+    for row in T:
+        # coefficient of x^g in this row of (T x^(-m)) s
+        eqs = {}
+        for j, a in enumerate(row):
+            off = j * width
+            for e1, c in a.d.items():
+                e1 -= m
+                for e in range(max(0, 1 - e1), min(width, top + 1 - e1)):
+                    eq = eqs.get(e1 + e)
+                    if eq is None:
+                        eq = eqs[e1 + e] = [0] * (r * width)
+                    eq[off + e] = c
+        rows.extend(eqs[g] for g in sorted(eqs))
+    F = Fp(p)
+    if not rows:
         # no positive exponents can appear at all: every polynomial works
-        F = Fp(p)
-        rows_eq = []
-    else:
-        rows_eq = []
-        F = Fp(p)
-        for i in range(r):
-            for g in range(1, top + 1):
-                # coefficient of x^g in row i of Tm s
-                eq = [0] * (r * width)
-                for j in range(r):
-                    a = Tm[i][j]
-                    for e in range(width):
-                        eq[j * width + e] = a[g - e]
-                if any(eq):
-                    rows_eq.append(eq)
-    if not rows_eq:
-        ker = linalg.identity(F, r * width)
-    else:
-        ker = linalg.kernel_basis(F, rows_eq)
-    out = []
-    for v in ker:
-        out.append(tuple(Poly(p, tuple(v[j * width:(j + 1) * width]))
-                         for j in range(r)))
-    return out
+        return linalg.identity(F, r * width)
+    return linalg.kernel_basis(F, rows)
 
 
 def cech_h0(b: P1Bundle, d: int) -> int:
@@ -181,27 +197,24 @@ def _split(p: int, T):
     """(type list desc, U, V) with U T V = diag(x^(-a_i)); U over F_p[1/x],
     V over F_p[x], both unimodular."""
     r, _ = matrix.shape(T)
-    det = matrix.det(T)
-    if not det.is_unit():
-        raise ValueError("transition matrix is not invertible")
-    ((k, c),) = det.d.items()
+    k, c = _det_exponent(T)
     if r == 1:
         cinv = Laurent.const(p, pow(c, p - 2, p))
         return [-k], [[cinv]], [[Laurent.one(p)]]
-    deg = -k
-    a = -((-deg) // r)  # ceil(deg / r) <= max a_i
-    secs = _section_basis(p, T, -a)
+    bounds = _probe_bounds(T, k)
+    lim = bounds[0]
+    a = -(k // r)  # ceil(deg / r) <= max a_i, deg = -k
+    secs = _section_basis(p, T, -a, bounds)
     if not secs:
         raise AssertionError("section probe empty at the slope twist")
-    for _ in range(10000):
-        higher = _section_basis(p, T, -a - 1)
+    # every a_i <= lim, so the probe past lim is empty without a solve
+    for nxt in range(a + 1, lim + 2):
+        higher = _section_basis(p, T, -nxt, bounds)
         if not higher:
             break
-        secs = higher
-        a += 1
-    else:
-        raise AssertionError("maximal twist scan failed to terminate")
-    s0 = secs[0]
+        secs, a = higher, nxt
+    v, width = secs[0], lim - a + 1
+    s0 = tuple(Poly(p, tuple(v[j * width:(j + 1) * width])) for j in range(r))
     g = s0[0]
     for e in s0[1:]:
         g = g.gcd(e)

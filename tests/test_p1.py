@@ -274,3 +274,76 @@ def test_memo_leaves_flow_report_unchanged(monkeypatch):
     fresh = cli.render(cli.run(cfg)[0], "json")
     assert fresh == scoped
     assert len(calls) - n > n  # the scope did save repeated splits
+
+
+# -- twist probes -----------------------------------------------------------------
+
+def test_cech_h0_at_both_signs_of_the_twist():
+    rng = random.Random(0x7157)
+    for p in (3, 5, 97):
+        for r in (1, 2, 3):
+            types, b = planted(rng, p, r)
+            for d in range(-types[0] - 2, -types[-1] + 3):
+                assert cech_h0(b, d) == sum(max(0, a + d + 1) for a in types)
+
+
+class LoggedMatrix:
+    """Stands in for p1's `matrix` module, logging its det and adjugate
+    calls; calls inside the matrix module itself are not seen."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):
+        fn = getattr(matrix, name)
+        if name not in ("det", "adjugate"):
+            return fn
+
+        def logged(M):
+            self.log.append((name, M))
+            return fn(M)
+
+        return logged
+
+
+def test_each_split_level_takes_one_det_and_one_adjugate(monkeypatch):
+    log, levels = [], []
+    monkeypatch.setattr(p1, "matrix", LoggedMatrix(log))
+    inner = p1._split
+
+    def level(p, T):
+        levels.append(T)
+        return inner(p, T)
+
+    monkeypatch.setattr(p1, "_split", level)
+    rng = random.Random(0xADE7)
+    for p in (3, 5, 97):
+        for r in (2, 3):
+            types, b = planted(rng, p, r)
+            log.clear()
+            levels.clear()
+            assert p1._split(p, b.matrix())[0] == types
+            dets = [M for name, M in log if name == "det"]
+            adjs = [M for name, M in log if name == "adjugate"]
+            assert len(dets) == len(levels) == r
+            assert all(M is T for M, T in zip(dets, levels))
+            assert len(adjs) == r - 1  # the rank-1 level needs none
+            assert all(M is T for M, T in zip(adjs, levels))
+
+
+def test_twist_scan_stops_at_the_adjugate_bound(monkeypatch):
+    e, p = 12, 5
+    b = P1Bundle.from_rows(p, [[Laurent.monomial(p, e), 0],
+                               [0, Laurent.monomial(p, -e)]])
+    twists = []
+    inner = p1._section_basis
+
+    def probe(p, T, m, bounds=None):
+        twists.append(m)
+        return inner(p, T, m, bounds)
+
+    monkeypatch.setattr(p1, "_section_basis", probe)
+    t, _, _ = birkhoff_split(b)
+    assert tuple(t) == (e, -e)
+    # the slope twist, e steps up, and the empty probe just past the bound
+    assert twists == [-a for a in range(e + 2)]
