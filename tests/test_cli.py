@@ -547,6 +547,21 @@ FROZEN_LOCAL = [
      "da3ad4ced46d5b676919bbc3d69182043cbe611414499e82a7cd57d5eccff126"),
     ("nearby-check", NEARBY_RANK3,
      "c736a96c9c62ae6bbab775b64ccc00579c79d1a8451f9fb20ae752d2e43b1d65"),
+    # the zero operator over F_5
+    ("monodromy", {"p": 5, "matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+     "fe4fb64c05b0471bb681e69114ab45acdf630ff861169252b567b7f802f91543"),
+    # J_3 over F_7
+    ("monodromy", {"p": 7, "matrix": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]},
+     "8e56ff46cc8ea8623f7575377fb9da19e5bf07782e99c6533a71bf2dd4cad23e"),
+    # Jordan type (2, 2) over F_3
+    ("monodromy", {"p": 3, "matrix": [
+        [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]},
+     "94f11bbc2337ff7eadbd6c407b8b81cfe69f1198d7d3b57262eddd30715006e0"),
+    # Jordan type (3, 2, 1) over F_11 behind a random frame
+    ("monodromy", {"p": 11, "matrix": [
+        [6, 4, 9, 6, 8, 8], [0, 1, 0, 4, 6, 6], [6, 0, 6, 6, 6, 10],
+        [4, 4, 0, 1, 6, 3], [2, 4, 0, 3, 4, 8], [1, 6, 7, 4, 4, 4]]},
+     "9c85f4a2b283e49f1f7cf0d8f1f38bc533ea9d0a7c537ad3868bb00111249365"),
 ]
 
 @pytest.mark.parametrize("doc, want", FROZEN_SPLITS)
