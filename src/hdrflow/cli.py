@@ -32,9 +32,9 @@ from .monodromy import (NilpotentOperator, monodromy_filtration,
 from .nearby import local_higgs_module, phi_restrict, upsilon0, z_model_compatibility
 from .p1 import P1Bundle, birkhoff_split, degree_and_slope, split_memo
 from .selftest import run_selftest
-from .serialize import (ParseError, laurent_str, parse_bipoly, parse_laurent,
-                        parse_poly, parse_qpoly, parse_ratfun, poly_str,
-                        qpoly_str, ratfun_str)
+from .serialize import (MAX_EXPONENT, ParseError, laurent_str, parse_bipoly,
+                        parse_laurent, parse_poly, parse_qpoly, parse_ratfun,
+                        poly_str, qpoly_str, ratfun_str)
 
 PASS, VIOLATION, UNDECIDED, BAD_INPUT = 0, 2, 3, 4
 
@@ -177,6 +177,10 @@ def _decode_bundle(val, p: int, loc: str) -> P1Bundle:
                            for a in tp)):
             raise InputFault("bundle type must be a list of integers",
                              f"{loc}.type")
+        for i, a in enumerate(tp):
+            if abs(a) > MAX_EXPONENT:
+                raise InputFault(f"splitting type entry exceeds {MAX_EXPONENT}"
+                                 f" in absolute value", f"{loc}.type[{i}]")
         return P1Bundle.of_type(p, tuple(tp))
     if "rows" in val:
         rows = _parse_matrix(val["rows"], f"{loc}.rows",

@@ -49,10 +49,6 @@ def mat_vec(F, A, v):
     return [c[0] for c in mat_mul(F, A, [[x] for x in v])]
 
 
-def transpose(M):
-    return [list(r) for r in zip(*M)] if M and M[0] else [[] for _ in range(len(M[0]))] if M else []
-
-
 def rref(F, M):
     """Reduced row echelon form. Returns (R, pivot column list)."""
     if type(F) is Fp:
@@ -239,7 +235,3 @@ def subspace_intersect(F, A, B, m):
         if all(F.is_zero(a) for a in left) and not all(F.is_zero(a) for a in right):
             out.append(right)
     return span_basis(F, out)
-
-
-def subspace_eq(F, A, B) -> bool:
-    return subspace_leq(F, A, B) and subspace_leq(F, B, A)

@@ -24,6 +24,27 @@ def is_unimodular(M) -> bool:
     return (not d.is_zero()) and d.is_constant()
 
 
+def nonsingular(M) -> bool:
+    """Is the square matrix M invertible over the fraction field F_p(y)?
+    Fraction-free (Bareiss) elimination: every division by the previous
+    pivot is exact, so degrees grow linearly and the cost is cubic, where a
+    determinant expansion is factorial in the size."""
+    A = [list(r) for r in M]
+    n = len(A)
+    prev = None
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not A[i][k].is_zero()), None)
+        if piv is None:
+            return False
+        A[k], A[piv] = A[piv], A[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                x = A[i][j] * A[k][k] - A[i][k] * A[k][j]
+                A[i][j] = x if prev is None else x // prev
+        prev = A[k][k]
+    return True
+
+
 def pmat_inverse(M):
     """Inverse of a unimodular matrix (adjugate / det)."""
     d = matrix.det(M)

@@ -1,17 +1,22 @@
 """Weight filtrations of nilpotent endomorphisms, with primitive parts.
 
-Two flavours share one interface: matrices over F_p acting on F_p^n, and
-matrices over F_p[y] acting on a free module, where every filtration step is
-saturated so all graded pieces stay torsion-free.
+One code path serves matrices over F_p[y] acting on a free module, where
+every filtration step is saturated so all graded pieces stay torsion-free.
+A matrix over F_p is computed as the constant operator over F_p[y]: each
+step of its filtration is the F_p step tensored up (Deligne, Weil II, 1.6),
+so entries are lifted to constant polynomials on the way in, and results are
+handed back over F_p on the way out, filtration bases in reduced echelon
+form.  The F_p case pays for the module algebra: about three times the
+time of a dedicated F_p elimination.
 
 The filtration is built from the closed form
 
     M_k = sum_{j >= max(0, -k)} ( ker N^(k+j+1)  cap  im N^j ),
 
-termwise saturated in the module case, then saturated once more after the
-sum.  It is the unique increasing exhaustive filtration with N M_k inside
-M_{k-2} such that N^k induces an isomorphism Gr_k -> Gr_{-k} (full rank and
-invertible over the fraction field in the module case).
+termwise saturated, then saturated once more after the sum.  It is the
+unique increasing exhaustive filtration with N M_k inside M_{k-2} such that
+N^k induces an isomorphism Gr_k -> Gr_{-k} (full rank and invertible over
+the fraction field).
 """
 from __future__ import annotations
 
@@ -38,11 +43,7 @@ class NilpotentOperator:
     @staticmethod
     def from_polys(p: int, rows) -> "NilpotentOperator":
         check_prime(p)
-        out = []
-        for r in rows:
-            out.append(tuple(a if isinstance(a, Poly) else Poly.const(p, a)
-                             for a in r))
-        return NilpotentOperator(p, tuple(out))
+        return NilpotentOperator(p, tuple(_lift(p, r) for r in rows))
 
     @property
     def dim(self) -> int:
@@ -52,29 +53,29 @@ class NilpotentOperator:
     def over_ring(self) -> bool:
         return self.dim > 0 and isinstance(self.rows[0][0], Poly)
 
-    def matrix(self):
-        return [list(r) for r in self.rows]
+
+def _lift(p: int, v) -> tuple:
+    """A vector with F_p entries as constant polynomials; Polys pass."""
+    return tuple(a if isinstance(a, Poly) else Poly.const(p, a) for a in v)
+
+
+def _at_zero(v) -> tuple:
+    """An F_p[y] vector at y = 0.  Every module built from constant data is
+    the F_p one tensored up, so a basis of it is one of the F_p one here."""
+    return tuple(a[0] for a in v)
 
 
 def _power_chain(op: NilpotentOperator):
-    """[N^0, N^1, ..., N^e] with N^e = 0; raises if N^dim != 0."""
+    """[N^0, N^1, ..., N^e] over F_p[y] with N^e = 0; raises if N^dim != 0."""
     n = op.dim
-    M = op.matrix()
-    if op.over_ring:
-        I = matrix.identity(Poly, op.p, n)
-        mul = matrix.mul
-        is_zero = matrix.is_zero
-    else:
-        F = Fp(op.p)
-        I = linalg.identity(F, n)
-        mul = lambda A, B: linalg.mat_mul(F, A, B)
-        is_zero = lambda A: all(a == 0 for r in A for a in r)
+    M = [_lift(op.p, r) for r in op.rows]
+    I = matrix.identity(Poly, op.p, n)
     chain = [I]
     cur = I
     for _ in range(n):
-        cur = mul(cur, M)
+        cur = matrix.mul(cur, M)
         chain.append(cur)
-        if is_zero(cur):
+        if matrix.is_zero(cur):
             return chain
     raise ValueError(f"operator is not nilpotent: N^{n} is nonzero")
 
@@ -87,8 +88,10 @@ def nilpotency_index(op: NilpotentOperator) -> int:
 class WeightFiltration:
     """M_lo ... M_hi with M_{lo-1} = 0 and M_hi the whole space.
 
-    bases[i] is a tuple of vectors spanning M_{lo+i}; vectors are tuples of
-    ints (field case) or Poly (module case, saturated bases).
+    bases[i] is an independent basis of M_{lo+i}: ranks are basis lengths,
+    so a redundant vector reads as a different, unsaturated step.  Vectors
+    are tuples of ints (F_p case, reduced echelon when computed here) or Poly
+    (module case, saturated bases).
     """
 
     p: int
@@ -117,39 +120,31 @@ class WeightFiltration:
         return [w for w in self.weights() if self.graded_rank(w) > 0]
 
 
-def _filtration_field(op: NilpotentOperator) -> WeightFiltration:
-    F = Fp(op.p)
-    n = op.dim
-    chain = _power_chain(op)
-    e = len(chain) - 1
-
-    def kerpow(m):
-        if m <= 0:
-            return []
-        if m >= e:
-            return linalg.identity(F, n)
-        return linalg.kernel_basis(F, chain[m])
-
-    def impow(j):
-        if j >= e:
-            return []
-        cols = [[chain[j][i][k] for i in range(n)] for k in range(n)]
-        return linalg.span_basis(F, cols)
-
-    table = {}
-    for k in range(-e, e):
-        acc = []
-        for j in range(max(0, -k), e):
-            t = linalg.subspace_intersect(F, kerpow(k + j + 1), impow(j), n)
-            acc.extend(t)
-        table[k] = linalg.span_basis(F, acc)
-    lo = next(k for k in range(-e, e) if table[k])
-    hi = next(k for k in range(-e, e) if len(table[k]) == n)
-    bases = tuple(tuple(tuple(v) for v in table[k]) for k in range(lo, hi + 1))
-    return WeightFiltration(op.p, n, lo, hi, bases)
+def _module_filtration(filt: WeightFiltration) -> WeightFiltration:
+    """The filtration over F_p[y]: F_p bases become constant vectors."""
+    if _over_ring(filt):
+        return filt
+    return WeightFiltration(filt.p, filt.dim, filt.lo, filt.hi, tuple(
+        tuple(_lift(filt.p, v) for v in b) for b in filt.bases))
 
 
-def _filtration_module(op: NilpotentOperator) -> WeightFiltration:
+def _field_filtration(filt: WeightFiltration) -> WeightFiltration:
+    """A filtration by constant submodules handed back over F_p, each step
+    as its reduced echelon basis."""
+    F = Fp(filt.p)
+    return WeightFiltration(filt.p, filt.dim, filt.lo, filt.hi, tuple(
+        tuple(tuple(v) for v in linalg.span_basis(
+            F, [list(_at_zero(v)) for v in b]))
+        for b in filt.bases))
+
+
+def _over_ring(filt: WeightFiltration) -> bool:
+    return any(isinstance(b[0][0], Poly) for b in filt.bases if b)
+
+
+def monodromy_filtration(op: NilpotentOperator) -> WeightFiltration:
+    if op.dim == 0:
+        raise ValueError("empty operator")
     n = op.dim
     chain = _power_chain(op)
     e = len(chain) - 1
@@ -178,36 +173,11 @@ def _filtration_module(op: NilpotentOperator) -> WeightFiltration:
     lo = next(k for k in range(-e, e) if table[k])
     hi = next(k for k in range(-e, e) if len(table[k]) == n)
     bases = tuple(tuple(tuple(v) for v in table[k]) for k in range(lo, hi + 1))
-    return WeightFiltration(op.p, n, lo, hi, bases)
-
-
-def monodromy_filtration(op: NilpotentOperator) -> WeightFiltration:
-    if op.dim == 0:
-        raise ValueError("empty operator")
-    if op.over_ring:
-        return _filtration_module(op)
-    return _filtration_field(op)
+    filt = WeightFiltration(op.p, n, lo, hi, bases)
+    return filt if op.over_ring else _field_filtration(filt)
 
 
 # ---------------------------------------------------------------- graded maps
-
-def _complement_field(F, small, big):
-    """Vectors of `big` extending span(small) to span(big), greedily."""
-    cur = [list(v) for v in small]
-    out = []
-    for v in big:
-        if not linalg.subspace_contains(F, cur, list(v)):
-            out.append(list(v))
-            cur.append(list(v))
-    return out
-
-def _coords_in_field(F, basis_vectors, v):
-    if not basis_vectors:
-        return [] if all(F.is_zero(x) for x in v) else None
-    A = linalg.transpose([list(b) for b in basis_vectors])
-    res = linalg.solve_linear(F, A, list(v))
-    return res.solution
-
 
 def _quotient_form(big_form, small):
     """Smith form of the coordinates of `small` in the basis whose Smith form
@@ -218,32 +188,32 @@ def _quotient_form(big_form, small):
     return polymat.smith_form(matrix.from_columns(X))
 
 
-def _complement_module(small, big, quotient):
+def _free_complement(small, big, quotient):
     """Free complement of span(small) inside span(big), both saturated;
-    `quotient` is the Smith form of the coordinates of small in big."""
+    `quotient` is the Smith form of the coordinates of small in big, None
+    when small is not inside big, and then so is the complement."""
     if not small:
         return [list(v) for v in big]
     if len(small) == len(big):
         return []
     if quotient is None:
-        raise AssertionError("filtration steps are not nested")
+        return None
     B = matrix.from_columns(big)
     return [matrix.vec(B, [row[col] for row in quotient.Uinv])
             for col in range(quotient.rank, len(big))]
 
 
-def _complement(op, filt, w):
-    """A basis of Gr_w lifted to M_w: a complement of M_{w-1} inside M_w."""
+def _complement(filt, w):
+    """A basis of Gr_w lifted to M_w: a complement of M_{w-1} inside M_w,
+    or None when M_{w-1} is not inside M_w."""
     small, big = filt.basis_at(w - 1), filt.basis_at(w)
-    if not op.over_ring:
-        return _complement_field(Fp(op.p), small, big)
     q = None
     if small and len(small) != len(big):
         q = _quotient_form(polymat.smith_form(matrix.from_columns(big)), small)
-    return _complement_module(small, big, q)
+    return _free_complement(small, big, q)
 
 
-def _coords_in_module(basis_vectors, vectors):
+def _coords(basis_vectors, vectors):
     """Coordinates of each vector in the basis, or None where it lies outside
     the span; one Smith form for the whole batch."""
     if not basis_vectors:
@@ -251,37 +221,23 @@ def _coords_in_module(basis_vectors, vectors):
     return polymat.solve_over_ring(matrix.from_columns(basis_vectors), vectors)
 
 
-def _graded_map(op, filt, power_matrix, dst, comp_s, comp_d):
+def _graded_map(filt, power_matrix, dst, comp_s, comp_d):
     """Matrix of N^k: Gr_src -> Gr_dst in the complement bases comp_s of
-    Gr_src and comp_d of Gr_dst, or None when some image fails to land in
-    M_dst (ill-defined map).
+    Gr_src and comp_d of Gr_dst, or None when a complement is None or some
+    image fails to land in M_dst (ill-defined map).
     Matrix convention: entry [t][s] = coefficient of dst complement vector t
     in the image of src complement vector s.
     """
+    if comp_s is None or comp_d is None:
+        return None
     below = list(filt.basis_at(dst - 1))
     full_d = below + [tuple(v) for v in comp_d]
-    if op.over_ring:
-        xs = _coords_in_module(
-            full_d, [matrix.vec(power_matrix, v) for v in comp_s])
-    else:
-        F = Fp(op.p)
-        xs = [_coords_in_field(F, full_d, linalg.mat_vec(F, power_matrix, v))
-              for v in comp_s]
+    xs = _coords(full_d, [matrix.vec(power_matrix, v) for v in comp_s])
     if any(x is None for x in xs):
         return None
     rows = [x[len(below):] for x in xs]
     return [[rows[s][t] for s in range(len(comp_s))]
             for t in range(len(comp_d))]
-
-
-def _invertible_graded(op, mat, nsrc, ndst) -> bool:
-    if nsrc != ndst:
-        return False
-    if nsrc == 0:
-        return True
-    if op.over_ring:
-        return not matrix.det(mat).is_zero()
-    return linalg.rank(Fp(op.p), mat) == nsrc
 
 
 # ------------------------------------------------------------------- reports
@@ -292,9 +248,9 @@ class AxiomReport:
     exhaustive: bool
     shift: bool            # axiom (1): N M_w inside M_{w-2}
     graded_iso: bool       # axiom (2): N^i: Gr_i ~ Gr_{-i}
-    saturated: bool = True         # module case: every step saturated
-    torsion_free: bool = True      # module case: Smith invariants of each
-    witness: str = ""              # quotient presentation are units
+    saturated: bool = True         # every step saturated
+    torsion_free: bool = True      # every Gr_w free: the Smith invariants
+    witness: str = ""              # of each quotient are units
 
     @property
     def all_pass(self) -> bool:
@@ -304,47 +260,34 @@ class AxiomReport:
 
 def verify_filtration_axioms(op: NilpotentOperator,
                              filt: WeightFiltration) -> AxiomReport:
+    """The axioms of `filt` for N.  Over F_p both module conditions hold for
+    any nested filtration with independent bases, as its steps are constant."""
     chain = _power_chain(op)
     e = len(chain) - 1
     n = op.dim
+    filt = _module_filtration(filt)
     witness = []
 
-    if op.over_ring:
-        # one Smith form per filtration step, and one of the coordinates of
-        # M_{w-1} in M_w where the step grows, answer every question below
-        forms = {w: polymat.smith_form(matrix.from_columns(filt.basis_at(w)))
-                 for w in filt.weights() if filt.basis_at(w)}
-        quotients = {}
-        for w in filt.weights():
-            small = filt.basis_at(w - 1)
-            if small and len(small) != len(filt.basis_at(w)):
-                quotients[w] = (_quotient_form(forms[w], small) if w in forms
-                                else None)
+    # one Smith form per filtration step, and one of the coordinates of
+    # M_{w-1} in M_w where the step grows, answer every question below
+    forms = {w: polymat.smith_form(matrix.from_columns(filt.basis_at(w)))
+             for w in filt.weights() if filt.basis_at(w)}
+    quotients = {}
+    for w in filt.weights():
+        small = filt.basis_at(w - 1)
+        if small and len(small) != len(filt.basis_at(w)):
+            quotients[w] = (_quotient_form(forms[w], small) if w in forms
+                            else None)
 
-        def contains(w, vs):
-            form = forms.get(min(w, filt.hi))
-            if form is None:
-                return all(x.is_zero() for v in vs for x in v)
-            return all(x is not None for x in form.solve(vs))
+    def contains(w, vs):
+        form = forms.get(min(w, filt.hi))
+        if form is None:
+            return all(x.is_zero() for v in vs for x in v)
+        return all(x is not None for x in form.solve(vs))
 
-        def apply(Nm, v):
-            return matrix.vec(Nm, v)
-
-        def complement(w):
-            return _complement_module(filt.basis_at(w - 1), filt.basis_at(w),
-                                      quotients.get(w))
-    else:
-        F = Fp(op.p)
-
-        def contains(w, vs):
-            B = [list(b) for b in filt.basis_at(w)]
-            return all(linalg.subspace_contains(F, B, list(v)) for v in vs)
-
-        def apply(Nm, v):
-            return linalg.mat_vec(F, Nm, v)
-
-        def complement(w):
-            return _complement(op, filt, w)
+    def complement(w):
+        return _free_complement(filt.basis_at(w - 1), filt.basis_at(w),
+                                quotients.get(w))
 
     increasing = True
     for w in range(filt.lo, filt.hi + 1):
@@ -356,7 +299,8 @@ def verify_filtration_axioms(op: NilpotentOperator,
 
     shift = True
     for w in range(filt.lo, filt.hi + 3):
-        if not contains(w - 2, [apply(chain[1], v) for v in filt.basis_at(w)]):
+        if not contains(w - 2,
+                        [matrix.vec(chain[1], v) for v in filt.basis_at(w)]):
             shift = False
             witness.append(f"N M_{w} escapes M_{w-2}")
             break
@@ -369,31 +313,28 @@ def verify_filtration_axioms(op: NilpotentOperator,
             graded_iso = False
             witness.append(f"rank Gr_{i} = {r_pos} != {r_neg} = rank Gr_{-i}")
             continue
-        Nm = chain[min(i, e)]
         cs, cd = complement(i), complement(-i)
-        mat = _graded_map(op, filt, Nm, -i, cs, cd)
-        if mat is None or not _invertible_graded(op, mat, len(cs), len(cd)):
+        mat = _graded_map(filt, chain[min(i, e)], -i, cs, cd)
+        if mat is None or len(cs) != len(cd) or (
+                cs and not polymat.nonsingular(mat)):
             graded_iso = False
             witness.append(f"N^{i}: Gr_{i} -> Gr_{-i} not invertible")
 
     saturated = True
+    for w, form in forms.items():
+        sat = form.saturation()
+        if len(sat) != len(filt.basis_at(w)) or not all(
+                x is not None for x in form.solve(sat)):
+            saturated = False
+            witness.append(f"M_{w} is not saturated")
     torsion_free = True
-    if op.over_ring:
-        for w, form in forms.items():
-            sat = form.saturation()
-            if len(sat) != len(filt.basis_at(w)) or not all(
-                    x is not None for x in form.solve(sat)):
-                saturated = False
-                witness.append(f"M_{w} is not saturated")
-        for w, q in quotients.items():
-            if q is None:
+    for w, q in quotients.items():
+        if q is None:
+            continue  # Gr_w is undefined: reported under `increasing`
+        for s in q.diagonal():
+            if not s.is_zero() and not s.is_constant():
                 torsion_free = False
-                witness.append(f"M_{w-1} not inside M_{w}")
-                break
-            for s in q.diagonal():
-                if not s.is_zero() and not s.is_constant():
-                    torsion_free = False
-                    witness.append(f"Gr_{w} has torsion {s}")
+                witness.append(f"Gr_{w} has torsion {s}")
 
     return AxiomReport(increasing, exhaustive, shift, graded_iso,
                        saturated, torsion_free, "; ".join(witness))
@@ -406,10 +347,7 @@ class PrimitiveParts:
     parts: tuple  # ((j, (vector, ...)), ...) for j >= 0
 
     def rank(self, j: int) -> int:
-        for jj, vecs in self.parts:
-            if jj == j:
-                return len(vecs)
-        return 0
+        return len(self.lifts(j))
 
     def lifts(self, j: int):
         for jj, vecs in self.parts:
@@ -426,39 +364,22 @@ def primitive_parts(op: NilpotentOperator,
                     filt: WeightFiltration) -> PrimitiveParts:
     chain = _power_chain(op)
     e = len(chain) - 1
-    n = op.dim
+    filt = _module_filtration(filt)
     out = []
     for j in range(0, max(filt.hi, 0) + 1):
         if filt.graded_rank(j) == 0:
             continue
-        Nm = chain[min(j + 1, e)]
-        comp_s = _complement(op, filt, j)
-        mat = _graded_map(op, filt, Nm, -j - 2, comp_s,
-                          _complement(op, filt, -j - 2))
+        comp_s = _complement(filt, j)
+        mat = _graded_map(filt, chain[min(j + 1, e)], -j - 2, comp_s,
+                          _complement(filt, -j - 2))
         if mat is None:
             raise AssertionError("graded map ill-defined; filtration invalid")
-        if op.over_ring:
-            ker = polymat.kernel_saturated(mat) if mat else \
-                [[Poly.one(op.p) if i == t else Poly.zero(op.p)
-                  for i in range(len(comp_s))] for t in range(len(comp_s))]
-            vecs = []
-            for kv in ker:
-                vecs.append(tuple(
-                    sum((comp_s[s][i] * kv[s] for s in range(len(comp_s))),
-                        Poly.zero(op.p)) for i in range(n)))
-        else:
-            F = Fp(op.p)
-            if mat and any(any(x != 0 for x in r) for r in mat):
-                ker = linalg.kernel_basis(F, mat)
-            else:
-                ker = [[F.one if i == t else F.zero
-                        for i in range(len(comp_s))]
-                       for t in range(len(comp_s))]
-            vecs = []
-            for kv in ker:
-                vecs.append(tuple(
-                    sum(comp_s[s][i] * kv[s] for s in range(len(comp_s))) % op.p
-                    for i in range(n)))
+        ker = (polymat.kernel_saturated(mat) if mat
+               else matrix.identity(Poly, op.p, len(comp_s)))
+        B = matrix.from_columns(comp_s)
+        vecs = [tuple(matrix.vec(B, kv)) for kv in ker]
+        if not op.over_ring:
+            vecs = [_at_zero(v) for v in vecs]
         if vecs:
             out.append((j, tuple(vecs)))
     return PrimitiveParts(tuple(out))
@@ -481,47 +402,29 @@ def primitive_decomposition(op: NilpotentOperator, filt: WeightFiltration,
     """Certify Gr_w = direct sum of N^i P_{w+2i} over i >= max(0, -w)."""
     chain = _power_chain(op)
     e = len(chain) - 1
+    filt = _module_filtration(filt)
     rows = []
     for w in range(filt.lo, filt.hi + 1):
         g = filt.graded_rank(w)
-        translates = []
-        total = 0
-        for i in range(max(0, -w), e + 1):
-            j = w + 2 * i
-            for v in prims.lifts(j):
-                if op.over_ring:
-                    translates.append(matrix.vec(chain[min(i, e)], v))
-                else:
-                    translates.append(linalg.mat_vec(Fp(op.p), chain[min(i, e)],
-                                                     list(v)))
-                total += 1
+        translates = [matrix.vec(chain[min(i, e)], _lift(op.p, v))
+                      for i in range(max(0, -w), e + 1)
+                      for v in prims.lifts(w + 2 * i)]
+        total = len(translates)
         if total == 0 and g == 0:
             continue
         # project the translates to Gr_w coordinates and test independence
-        if op.over_ring:
-            full = list(filt.basis_at(w - 1)) + [
-                tuple(v) for v in _complement(op, filt, w)]
-            xs = _coords_in_module(full, translates)
-            ok = all(x is not None for x in xs)
-            coords = [x[len(filt.basis_at(w - 1)):] for x in xs] if ok else []
-            if ok and total == g:
-                M = [[coords[c][r] for c in range(total)] for r in range(g)]
-                ind = g == 0 or not matrix.det(M).is_zero()
-            else:
-                ind = total == 0 and g == 0
+        comp = _complement(filt, w)
+        if comp is None:
+            raise AssertionError("filtration steps are not nested")
+        full = list(filt.basis_at(w - 1)) + [tuple(v) for v in comp]
+        xs = _coords(full, translates)
+        ok = all(x is not None for x in xs)
+        coords = [x[len(filt.basis_at(w - 1)):] for x in xs] if ok else []
+        if ok and total == g:
+            M = [[coords[c][r] for c in range(total)] for r in range(g)]
+            ind = g == 0 or polymat.nonsingular(M)
         else:
-            F = Fp(op.p)
-            full = list(filt.basis_at(w - 1)) + _complement(op, filt, w)
-            coords = []
-            ok = True
-            for t in translates:
-                x = _coords_in_field(F, full, t)
-                if x is None:
-                    ok = False
-                    break
-                coords.append(x[len(filt.basis_at(w - 1)):])
-            ind = (ok and total == g
-                   and (g == 0 or linalg.rank(F, coords) == g))
+            ind = total == 0 and g == 0
         rows.append((w, g, total, ind))
     return DecompositionReport(tuple(rows))
 
@@ -541,19 +444,12 @@ class KernelGradedReport:
 
 def graded_of_kernel(op: NilpotentOperator, filt: WeightFiltration,
                      prims: PrimitiveParts) -> KernelGradedReport:
-    chain = _power_chain(op)
-    n = op.dim
-    if op.over_ring:
-        K = polymat.kernel_saturated(chain[1])
-        def meet(w):
-            return polymat.submodule_intersect(
-                K, [list(b) for b in filt.basis_at(w)]) if filt.basis_at(w) else []
-    else:
-        F = Fp(op.p)
-        K = linalg.kernel_basis(F, chain[1])
-        def meet(w):
-            return linalg.subspace_intersect(
-                F, K, [list(b) for b in filt.basis_at(w)], n)
+    K = polymat.kernel_saturated(_power_chain(op)[1])
+    filt = _module_filtration(filt)
+
+    def meet(w):
+        return polymat.submodule_intersect(
+            K, [list(b) for b in filt.basis_at(w)]) if filt.basis_at(w) else []
     table = {w: len(meet(w)) for w in range(filt.lo, filt.hi + 1)}
 
     def krank(w):
@@ -590,57 +486,38 @@ def jordan_matrix(p: int, sizes) -> NilpotentOperator:
 def conjugate(op: NilpotentOperator, g) -> NilpotentOperator:
     """g N g^{-1} for invertible g (int matrix field case, Poly unimodular
     module case)."""
-    n = op.dim
+    gp = [_lift(op.p, r) for r in g]
+    # X g = g N, row by row: g^T x_i = (g N)_i, one Smith form of g^T
+    form = polymat.smith_form([list(c) for c in zip(*gp)])
+    if not all(s.is_constant() and not s.is_zero() for s in form.diagonal()):
+        raise ValueError("matrix is not unimodular")
+    rows = form.solve(matrix.mul(gp, [_lift(op.p, r) for r in op.rows]))
     if op.over_ring:
-        gp = [[x if isinstance(x, Poly) else Poly.const(op.p, x) for x in r]
-              for r in g]
-        gi = polymat.pmat_inverse(gp)
-        return NilpotentOperator.from_polys(
-            op.p, matrix.mul(matrix.mul(gp, op.matrix()), gi))
-    F = Fp(op.p)
-    gi = linalg.inverse(F, [list(r) for r in g])
-    return NilpotentOperator.from_ints(
-        op.p, linalg.mat_mul(F, linalg.mat_mul(F, g, op.matrix()), gi))
+        return NilpotentOperator.from_polys(op.p, rows)
+    return NilpotentOperator.from_ints(op.p, [_at_zero(r) for r in rows])
 
 
-def transform_filtration(filt: WeightFiltration, g, p: int,
-                         over_ring: bool) -> WeightFiltration:
+def transform_filtration(filt: WeightFiltration, g) -> WeightFiltration:
     """Image filtration g(M_): bases mapped through g (re-canonicalized)."""
-    n = filt.dim
+    gp = [_lift(filt.p, r) for r in g]
     new = []
-    if over_ring:
-        gp = [[x if isinstance(x, Poly) else Poly.const(p, x) for x in r]
-              for r in g]
-        for b in filt.bases:
-            vecs = [[sum((gp[i][j] * v[j] for j in range(n)), Poly.zero(p))
-                     for i in range(n)] for v in b]
-            if vecs:
-                gen = [[vecs[c][i] for c in range(len(vecs))] for i in range(n)]
-                vecs = polymat.saturate(gen)
-            new.append(tuple(tuple(v) for v in vecs))
-    else:
-        F = Fp(p)
-        for b in filt.bases:
-            vecs = [linalg.mat_vec(F, g, list(v)) for v in b]
-            new.append(tuple(tuple(v) for v in linalg.span_basis(F, vecs)))
-    return WeightFiltration(filt.p, n, filt.lo, filt.hi, tuple(new))
+    for b in _module_filtration(filt).bases:
+        vecs = [matrix.vec(gp, v) for v in b]
+        if vecs:
+            vecs = polymat.saturate(matrix.from_columns(vecs))
+        new.append(tuple(tuple(v) for v in vecs))
+    image = WeightFiltration(filt.p, filt.dim, filt.lo, filt.hi, tuple(new))
+    return image if _over_ring(filt) else _field_filtration(image)
 
 
 def same_filtration(a: WeightFiltration, b: WeightFiltration) -> bool:
     if a.dim != b.dim or a.p != b.p:
         return False
-    over_ring = bool(a.bases and a.bases[-1]
-                     and isinstance(a.bases[-1][0][0], Poly))
+    a, b = _module_filtration(a), _module_filtration(b)
     for w in range(min(a.lo, b.lo), max(a.hi, b.hi) + 1):
         A = [list(v) for v in a.basis_at(w)]
         B = [list(v) for v in b.basis_at(w)]
-        if over_ring:
-            if len(A) != len(B):
-                return False
-            if not (polymat.submodule_contains(B, A)
-                    and polymat.submodule_contains(A, B)):
-                return False
-        else:
-            if not linalg.subspace_eq(Fp(a.p), A, B):
-                return False
+        if len(A) != len(B) or not (polymat.submodule_contains(B, A)
+                                    and polymat.submodule_contains(A, B)):
+            return False
     return True

@@ -233,6 +233,8 @@ def parse_ratfun(s: str, p: int, var: str = "x") -> RatFun:
         den = _poly_or_laurent(denpart, p, var)
         nf, nshift = num
         df, dshift = den
+        if df.is_zero():
+            raise ParseError("zero denominator")
         # x^-k shifts move across the fraction bar
         shift = nshift - dshift
         f = RatFun(nf, df)
@@ -287,10 +289,16 @@ def parse_bipoly(s: str, p: int, uvar: str = "x", vvar: str = "y") -> BiPoly:
     return f
 
 
+def _q_frac(a: int, b: int) -> Fraction:
+    if b == 0:
+        raise ParseError("zero denominator")
+    return Fraction(a, b)
+
+
 def parse_qpoly(s: str, gens: list[str]) -> dict[tuple[int, ...], Fraction]:
     """Multivariate polynomial with Fraction coefficients over named generators."""
     idx = {g: k for k, g in enumerate(gens)}
-    terms = _parse_terms(_tokenize(s), set(gens), lambda a, b: Fraction(a, b))
+    terms = _parse_terms(_tokenize(s), set(gens), _q_frac)
     out: dict[tuple[int, ...], Fraction] = {}
     for c, powers in terms:
         mono = [0] * len(gens)

@@ -94,6 +94,9 @@ def test_discriminants_rejects_inhomogeneous_class(capsys):
     ({"rank": 2, "truncation": 20,
       "generators": [["a", 1], ["b", 1], ["c", 1]],
       "classes": ["a", "a*b"] + ["0"] * 18}, "input.truncation"),
+    # a zero denominator in a Q coefficient
+    ({"rank": 2, "truncation": 2, "classes": ["1/0*h", "h^2"]},
+     "input.classes[0]"),
 ])
 def test_discriminants_input_errors_carry_the_location(capsys, doc, location):
     code, rep = run_json(capsys, "discriminants", "--input", json.dumps(doc))
@@ -165,6 +168,32 @@ def test_residues_of_the_uniformizing_field(capsys):
     assert rep["trace_total"] == 0 and rep["trace_expected"] == 0
     finite = [e for e in rep["per_point"] if e["point"] != "inf"]
     assert all(e["matrix"] == [[0, 0], [2, 0]] for e in finite)
+
+
+@pytest.mark.parametrize("command", ["residues", "semistable", "flow",
+                                     "cartier"])
+@pytest.mark.parametrize("entry", ["(x)/(0)", "(x)/(3)", "(x)/(x - x)"])
+def test_zero_denominator_is_input_error(capsys, command, entry):
+    doc = dict(UNI3, theta=[["0", entry], ["0", "0"]])
+    code, rep = run_json(capsys, command, "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["location"] == "input.theta[0][1]"
+
+
+@pytest.mark.parametrize("command", ["residues", "semistable", "cartier"])
+@pytest.mark.parametrize("a", [10001, -10001, 10**30, -10**30])
+def test_bundle_type_is_bounded(capsys, command, a):
+    doc = dict(UNI3, bundle={"type": [0, a]})
+    code, rep = run_json(capsys, command, "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["location"] == "input.bundle.type[1]"
+
+
+def test_bundle_type_at_the_bound_is_accepted(capsys):
+    doc = dict(UNI3, bundle={"type": [10000, -10000]},
+               theta=[["0", "0"], ["0", "0"]])
+    code, rep = run_json(capsys, "residues", "--input", json.dumps(doc))
+    assert code == 0 and rep["status"] == "pass"
 
 
 # -- semistable -------------------------------------------------------------------

@@ -3,7 +3,8 @@ import random
 from hdrflow.exact.poly import Poly
 from hdrflow.exact import linalg, matrix
 from hdrflow.exact.rings import Fp
-from hdrflow.monodromy import (NilpotentOperator, WeightFiltration, conjugate,
+from hdrflow.monodromy import (AxiomReport, NilpotentOperator,
+                               WeightFiltration, conjugate,
                                graded_of_kernel, jordan_matrix,
                                monodromy_filtration, nilpotency_index,
                                primitive_decomposition, primitive_parts,
@@ -97,6 +98,79 @@ def test_coarse_filtration_fails_shift():
     assert rep.graded_iso
 
 
+def test_unnested_filtration_is_reported_not_raised():
+    # M_{-1} is not inside M_0: the failure shows once under `increasing`,
+    # and Gr_{+-1} are not defined, so axiom (2) fails without a complement
+    op = jordan_matrix(5, [2, 1])
+    whole = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    bad = WeightFiltration(5, 3, -1, 1, (((1, 0, 0),),
+                                         ((0, 1, 0), (0, 0, 1)), whole))
+    want = AxiomReport(False, True, False, False, True, True,
+                       "M_-1 not inside M_0; N M_0 escapes M_-2; "
+                       "N^1: Gr_1 -> Gr_-1 not invertible")
+    assert verify_filtration_axioms(op, bad) == want
+    lifted = WeightFiltration(5, 3, -1, 1, tuple(
+        tuple(tuple(Poly.const(5, a) for a in v) for v in b)
+        for b in bad.bases))
+    module_op = NilpotentOperator.from_polys(5, op.rows)
+    assert verify_filtration_axioms(module_op, lifted) == want
+
+
+def test_field_results_come_back_over_fp():
+    rng = random.Random(0xF1E1D)
+    F = Fp(7)
+    for sizes in ([3], [2, 2], [3, 1, 1]):
+        n = sum(sizes)
+        g = [[rng.randrange(7) for _ in range(n)] for _ in range(n)]
+        while linalg.rank(F, g) < n:
+            g = [[rng.randrange(7) for _ in range(n)] for _ in range(n)]
+        op = conjugate(jordan_matrix(7, sizes), g)
+        assert not op.over_ring
+        filt = monodromy_filtration(op)
+        image = transform_filtration(filt, g)
+        for f in (filt, image):
+            for b in f.bases:
+                assert [list(v) for v in b] == linalg.span_basis(F, list(b))
+        prims = primitive_parts(op, filt)
+        assert all(isinstance(a, int) for _, vs in prims.parts
+                   for v in vs for a in v)
+        assert primitive_decomposition(op, filt, prims).ok
+        # the constant operator over F_7[y] has the same filtration
+        module = monodromy_filtration(
+            NilpotentOperator.from_polys(7, op.rows))
+        assert same_filtration(filt, module)
+        assert same_filtration(image, monodromy_filtration(conjugate(op, g)))
+
+
+def test_large_field_operator_in_polynomial_time():
+    # J_2^10 behind a random frame over F_3: N: Gr_1 -> Gr_-1 is a dense
+    # 10 x 10 map, whose determinant expansion would take 10! products
+    rng = random.Random(0xB16)
+    F = Fp(3)
+    g = [[rng.randrange(3) for _ in range(20)] for _ in range(20)]
+    while linalg.rank(F, g) < 20:
+        g = [[rng.randrange(3) for _ in range(20)] for _ in range(20)]
+    N = [list(r) for r in jordan_matrix(3, [2] * 10).rows]
+    rows = linalg.mat_mul(F, linalg.mat_mul(F, g, N), linalg.inverse(F, g))
+    op = conjugate(jordan_matrix(3, [2] * 10), g)
+    assert op == NilpotentOperator.from_ints(3, rows)
+    filt = monodromy_filtration(op)
+    assert [filt.graded_rank(w) for w in (-1, 0, 1)] == [10, 0, 10]
+    assert verify_filtration_axioms(op, filt).all_pass
+    prims = primitive_parts(op, filt)
+    assert prims.ranks == {1: 10}
+    assert primitive_decomposition(op, filt, prims).ok
+
+
+def test_conjugate_refuses_a_singular_frame():
+    try:
+        conjugate(jordan_matrix(5, [2]), [[1, 2], [2, 4]])
+    except ValueError as err:
+        assert "unimodular" in str(err)
+    else:
+        raise AssertionError("singular frame accepted")
+
+
 def test_closed_form_all_types_dim3():
     for n in (1, 2, 3):
         for sizes in partitions(n):
@@ -132,7 +206,7 @@ def test_conjugation_functoriality():
                 break
         conj = conjugate(op, g)
         lhs = monodromy_filtration(conj)
-        rhs = transform_filtration(monodromy_filtration(op), g, 5, False)
+        rhs = transform_filtration(monodromy_filtration(op), g)
         assert same_filtration(lhs, rhs)
 
 
@@ -183,7 +257,7 @@ def test_module_case_randomized():
             assert filt.graded_rank(w) == filt.graded_rank(-w)
         # unimodular functoriality
         lhs = monodromy_filtration(conjugate(op, g))
-        rhs = transform_filtration(filt, g, p, True)
+        rhs = transform_filtration(filt, g)
         assert same_filtration(lhs, rhs)
 
 

@@ -69,6 +69,20 @@ def test_inverse_is_carried_through_the_elimination(label, M):
 
 
 @pytest.mark.parametrize("label, M", CASES, ids=IDS)
+def test_nonsingular_agrees_with_the_determinant(label, M):
+    k = min(matrix.shape(M))
+    square = [row[:k] for row in M[:k]]
+    assert polymat.nonsingular(square) == (not matrix.det(square).is_zero())
+
+
+def test_nonsingular_pivots_past_a_zero():
+    one, zero, y = Poly.one(3), Poly.zero(3), Poly.x(3)
+    assert polymat.nonsingular([[zero, one], [one, zero]])
+    assert not polymat.nonsingular([[y, y * y], [one, y]])
+    assert not polymat.nonsingular([[zero, y], [zero, one]])
+
+
+@pytest.mark.parametrize("label, M", CASES, ids=IDS)
 def test_saturation_spans_a_saturated_module(label, M):
     f = polymat.smith_form(M)
     sat = polymat.saturate(M)
