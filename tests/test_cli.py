@@ -593,6 +593,51 @@ FROZEN_LOCAL = [
      "9c85f4a2b283e49f1f7cf0d8f1f38bc533ea9d0a7c537ad3868bb00111249365"),
 ]
 
+# Inverse Cartier transforms at p = 3, 5, 7 and 97, ranks 2 and 3, with and
+# without infinity on the divisor: the rendered reports, which print the
+# p-curvature and the connection matrices entry by entry.  Where a finite
+# divisor point other than 0 makes the two canonical liftings differ, the
+# charts are glued by a nontrivial exp(tau).
+FROZEN_CARTIER = [
+    ({"p": 3, "divisor": {"points": [0, 1, "inf"]}, "bundle": {"type": [0, 0]},
+      "theta": [["0", "(2*x + 1)/(x^2 + 2*x)"], ["0", "0"]]},
+     "63be3c4400f5ca2cc5fb91442da6b95b5e82bf4213081914991bcaa140beca0b"),
+    ({"p": 3, "divisor": {"points": [1, 2]}, "bundle": {"type": [0, 0]},
+      "theta": [["0", "0"], ["(1)/(x^2 + 2)", "0"]]},
+     "892e13d9e5ce90449cc46b5164996d49be240ee24586062bed90bf427612ee09"),
+    ({"p": 5, "divisor": {"points": [0, 2]}, "bundle": {"type": [0, 0]},
+      "theta": [["0", "(3)/(x^2 + 3*x)"], ["0", "0"]]},
+     "9d28eff86dfcdbd04b235b89d0d6c3ebf07660efc56b68b921b395435733157c"),
+    ({"p": 5, "divisor": {"points": [0, 1, 2, "inf"]},
+      "bundle": {"type": [1, 0, -1]},
+      "theta": [["0", "0", "0"],
+                ["(x + 4)/(x^3 + 2*x^2 + 2*x)", "0", "0"],
+                ["(2)/(x^3 + 2*x^2 + 2*x)", "(3*x + 1)/(x^3 + 2*x^2 + 2*x)",
+                 "0"]]},
+     "2d3caeb9834e1a898aa1d5abb5996654b23a1b24119c8dd4569aa0e6197fcb7d"),
+    ({"p": 7, "divisor": {"points": [0, 3, 5, "inf"]},
+      "bundle": {"type": [1, 0, -1]},
+      "theta": [["0", "0", "0"],
+                ["(x + 2)/(x^3 + 6*x^2 + x)", "0", "0"],
+                ["(4)/(x^3 + 6*x^2 + x)", "(2*x + 1)/(x^3 + 6*x^2 + x)",
+                 "0"]]},
+     "6b32da75550e3094a8696a17f3fac9b4f9914fec89f1a88f316b3c09112bc1d1"),
+    ({"p": 7, "divisor": {"points": [2, 4, 6]}, "bundle": {"type": [0, 0, 0]},
+      "theta": [["0", "(1)/(x^3 + 2*x^2 + 2*x + 1)",
+                 "(3*x)/(x^3 + 2*x^2 + 2*x + 1)"],
+                ["0", "0", "(x + 5)/(x^3 + 2*x^2 + 2*x + 1)"],
+                ["0", "0", "0"]]},
+     "9df348130a522cfab9e4b80e59eb6dbe8c74bc5eeb1564275bf687e11be12633"),
+    ({"p": 97, "divisor": {"points": [0, "inf"]}, "bundle": {"type": [0, 0]},
+      "theta": [["0", "0"], ["(7)/(x)", "0"]]},
+     "e449750cde3ac9fe3cbd3df0f5bde33329eb9e9b6882aafd1a7eab13b015800d"),
+    ({"p": 97, "divisor": {"points": [0, 5, "inf"]},
+      "bundle": {"type": [0, 0]},
+      "theta": [["0", "0"], ["(7)/(x^2 + 92*x)", "0"]]},
+     "19f3066fb9250db5e84621aa3ab11889765523af7d410508b6d0a9233746a71e"),
+]
+
+
 @pytest.mark.parametrize("doc, want", FROZEN_SPLITS)
 def test_split_report_is_frozen(capsys, doc, want):
     code, out = run_text(capsys, "split", "--json", "--input", json.dumps(doc))
@@ -610,6 +655,14 @@ def test_flow_report_is_frozen(capsys, doc, digest):
 @pytest.mark.parametrize("doc, digest", FROZEN_DISCRIMINANTS)
 def test_discriminants_report_is_frozen(capsys, doc, digest):
     code, out = run_text(capsys, "discriminants", "--json",
+                         "--input", json.dumps(doc))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("doc, digest", FROZEN_CARTIER)
+def test_cartier_report_is_frozen(capsys, doc, digest):
+    code, out = run_text(capsys, "cartier", "--json",
                          "--input", json.dumps(doc))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
