@@ -138,13 +138,16 @@ def zeta(lift: FrobeniusLift) -> ZetaMap:
 
 
 def _exp_nilpotent(p: int, tau):
-    """Sum of tau^i / i! over i < p, exact when tau^p = 0."""
+    """Sum of tau^i / i! over i < p, exact when tau^p = 0; the sum stops at
+    the first zero power."""
     r = len(tau)
     out = matrix.identity(RatFun, p, r)
     power = matrix.identity(RatFun, p, r)
     fact = 1
     for i in range(1, p):
         power = matrix.mul(power, tau)
+        if matrix.is_zero(power):
+            break
         fact = fact * i % p
         inv = pow(fact, p - 2, p)
         out = matrix.add(out, matrix.scale(RatFun.const(p, inv), power))

@@ -512,11 +512,9 @@ def _cmd_flow(cfg: RunConfig) -> dict:
             return {"command": "flow", "status": "undecided", "p": hb.p,
                     "reason": msg}
         raise InputFault(msg, "input")
-    definitive = rep.status == "periodic" or (
-        rep.status == "no period" and rep.reason.startswith("degree diverges"))
     report = {
         "command": "flow",
-        "status": "pass" if definitive else "undecided",
+        "status": "pass" if rep.decided else "undecided",
         "p": hb.p,
         "verdict": rep.status,
         "period": rep.period,

@@ -2,7 +2,9 @@
 
 Poly: immutable coefficient tuple, index = degree, no trailing zeros.
 RatFun: reduced num/den pair with monic denominator (canonical form, so
-equality is syntactic).
+equality is syntactic).  Sums and products keep that form by Henrici's
+method (Knuth, TAOCP vol. 2, 4.5.1): they take gcds of the factors only,
+never of the full products.
 """
 from __future__ import annotations
 
@@ -221,12 +223,6 @@ class Poly:
             r = (r * a + coef) % self.p
         return r
 
-    def compose(self, other: "Poly") -> "Poly":
-        r = Poly.zero(self.p)
-        for coef in reversed(self.c):
-            r = r * other + coef
-        return r
-
     def deriv(self) -> "Poly":
         return Poly(self.p, [(i * a) % self.p for i, a in enumerate(self.c)][1:])
 
@@ -253,22 +249,23 @@ class Poly:
             out[n - k] = a
         return Poly(self.p, out)
 
-    def translate(self, c: int) -> "Poly":
-        """f(x + c)."""
-        return self.compose(Poly(self.p, (c, 1)))
-
     def order_at(self, c: int) -> int:
         """Vanishing order at x = c (big sentinel for the zero polynomial)."""
         if self.is_zero():
             return 1 << 30
-        f = self
-        lin = Poly(self.p, (-c, 1))
+        p, c = self.p, c % self.p
+        f = self.c
         k = 0
         while True:
-            q, r = divmod(f, lin)
-            if not r.is_zero():
+            # synthetic division by x - c: the running values are the
+            # quotient's coefficients, highest first, then f(c)
+            acc, vals = 0, []
+            for a in reversed(f):
+                acc = (acc * c + a) % p
+                vals.append(acc)
+            if acc:
                 return k
-            f, k = q, k + 1
+            f, k = vals[-2::-1], k + 1
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k (k >= 0)."""
@@ -288,7 +285,8 @@ class RatFun:
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.one(num.p)
+            self.num, self.den = num, Poly.one(num.p)
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.p != den.p:
@@ -305,6 +303,25 @@ class RatFun:
                 num, den = num * inv, den * inv
         self.num = num
         self.den = den
+
+    @classmethod
+    def _trusted(cls, num: Poly, den: Poly):
+        """A result already in canonical form: num and den coprime, den
+        monic, and den = 1 when num = 0."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den
+        return f
+
+    @classmethod
+    def _coprime(cls, num: Poly, den: Poly):
+        """num/den with num and den already coprime: only den is scaled
+        to be monic."""
+        lc = den.lc()
+        if lc != 1:
+            inv = pow(lc, den.p - 2, den.p)
+            num, den = num * inv, den * inv
+        return cls._trusted(num, den)
 
     @property
     def p(self):
@@ -357,22 +374,41 @@ class RatFun:
             return RatFun.const(self.p, other)
         return NotImplemented
 
+    def _sum(self, n2: Poly, d2: Poly):
+        """self + n2/d2 for canonical n2/d2."""
+        n1, d1 = self.num, self.den
+        if d1.is_one():
+            return RatFun._trusted(n1 * d2 + n2, d2)
+        if d2.is_one():
+            return RatFun._trusted(n1 + n2 * d1, d1)
+        g = d1 if d1 == d2 else d1.gcd(d2)
+        if g.is_one():
+            return RatFun._trusted(n1 * d2 + n2 * d1, d1 * d2)
+        # t is prime to d1/g and to d2/g, so only g can share a factor
+        # with it; t = 0 only when d1 = d2 = g, and then den = 1
+        d1g = d1 // g
+        t = n1 * (d2 // g) + n2 * d1g
+        g2 = t.gcd(g)
+        if g2.is_one():
+            return RatFun._trusted(t, d1g * d2)
+        return RatFun._trusted(t // g2, d1g * (d2 // g2))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFun(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._sum(o.num, o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._trusted(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFun(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -381,14 +417,28 @@ class RatFun:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RatFun(self.num * o.num, self.den * o.den)
+        if self.num.is_zero():
+            return self
+        if o.num.is_zero():
+            return o
+        # cancel across: num and den of each factor are already coprime
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if not d2.is_one():
+            g = n1.gcd(d2)
+            if not g.is_one():
+                n1, d2 = n1 // g, d2 // g
+        if not d1.is_one():
+            g = n2.gcd(d1)
+            if not g.is_one():
+                n2, d1 = n2 // g, d1 // g
+        return RatFun._trusted(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of 0")
-        return RatFun(self.den, self.num)
+        return RatFun._coprime(self.den, self.num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -402,11 +452,17 @@ class RatFun:
     def __pow__(self, n: int):
         if n < 0:
             return self.reciprocal() ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
+        return RatFun._trusted(self.num ** n, self.den ** n)
 
     def deriv(self):
-        return RatFun(self.num.deriv() * self.den - self.num * self.den.deriv(),
-                      self.den * self.den)
+        if self.den.is_one():
+            return RatFun._trusted(self.num.deriv(), self.den)
+        # (n'd - nd')/d^2 with g = gcd(d, d') taken out of both sides
+        n, d = self.num, self.den
+        dd = d.deriv()
+        g = d.gcd(dd)
+        dg = d // g
+        return RatFun(n.deriv() * dg - n * (dd // g), d * dg)
 
     def eval(self, a: int) -> int:
         d = self.den.eval(a)
@@ -414,20 +470,18 @@ class RatFun:
             raise ZeroDivisionError(f"pole at {a}")
         return self.num.eval(a) * pow(d, self.p - 2, self.p) % self.p
 
-    def order_at(self, c: int) -> int:
-        """Valuation at x = c (negative = pole order)."""
-        if self.is_zero():
-            return 1 << 30
-        return self.num.order_at(c) - self.den.order_at(c)
-
     def dilate(self, m: int, lam: int = 1):
-        return RatFun(self.num.dilate(m, lam), self.den.dilate(m, lam))
+        # a substitution x -> lam x^m keeps num and den coprime
+        return RatFun._coprime(self.num.dilate(m, lam),
+                               self.den.dilate(m, lam))
 
     def subst_inv(self):
         """f(1/x) as a rational function of x."""
         dn, dd = max(self.num.degree, 0), max(self.den.degree, 0)
         n = max(dn, dd)
-        return RatFun(self.num.reverse(n), self.den.reverse(n))
+        # coprime: x divides at most one reversal, as one of num and den
+        # has degree n
+        return RatFun._coprime(self.num.reverse(n), self.den.reverse(n))
 
     def __repr__(self):
         from ..serialize import ratfun_str

@@ -32,9 +32,9 @@ from .exact.rings import Fp
 from .exact.rmat import (rmat_deriv, rmat_from_lmat, rmat_from_pmat,
                          rmat_inverse)
 from .loghiggs import (HodgeSystem, LogConnectionP1, LogHiggsBundleP1,
-                       _block_of, _flag_frames, _graded_semistability,
-                       check_hodge_system, higgs_bundle, nilpotency_level,
-                       residue)
+                       SemistabilityVerdict, _block_of, _flag_frames,
+                       _graded_semistability, check_hodge_system,
+                       higgs_bundle, nilpotency_level, residue)
 from .p1 import (P1Bundle, birkhoff_split, degree_and_slope,
                  hn_filtration_plain, sub_adapted)
 
@@ -376,12 +376,27 @@ class PeriodReport:
     reason: str
     bound: Fraction
     bound_ok: bool
+    decided: bool            # periodic, or shown never to recur
+
+
+def _unstable(state: FlowState) -> str | None:
+    """Why the flow stops at this state: its semistability verdict is
+    exactly "unstable" (the flow is defined on semistable objects)."""
+    v = state.semistability
+    if isinstance(v, SemistabilityVerdict) and v.status == "unstable":
+        return (f"state {state.index} is unstable: a theta-invariant "
+                f"sub-bundle of degree {v.witness_degree} exceeds the "
+                f"slope {v.slope}")
+    return None
 
 
 def detect_periodicity(initial: LogHiggsBundleP1, lifts=None,
                        max_iter: int = 10,
                        enum_guard: int = 200000) -> PeriodReport:
-    """Run the flow and report the first recurrence up to isomorphism."""
+    """Run the flow and report the first recurrence up to isomorphism.
+
+    The flow stops at its first unstable state with a decided "no period".
+    """
     bound = splitting_bound(initial.rank, initial.divisor)
     deg, _ = degree_and_slope(initial.bundle)
     t0, _, _ = birkhoff_split(initial.bundle)
@@ -390,36 +405,41 @@ def detect_periodicity(initial: LogHiggsBundleP1, lifts=None,
             "no period", None, None, (t0.entries,), (),
             f"degree diverges: deg E = {deg} is multiplied by p at every "
             f"step", bound,
-            all(abs(e) <= bound for e in t0.entries))
+            all(abs(e) <= bound for e in t0.entries), True)
     states = [flow_start(initial, lifts)]
     undecided = []
     verdict = None
-    for i in range(1, max_iter + 1):
+    stop = _unstable(states[0])
+    i = 0
+    while stop is None and verdict is None and i < max_iter:
+        i += 1
         nxt = flow_step(states[-1])
-        for j, old in enumerate(states):
+        states.append(nxt)
+        stop = _unstable(nxt)
+        if stop is not None:
+            break
+        for j, old in enumerate(states[:-1]):
             iso = higgs_isomorphic(old.higgs, nxt.higgs, enum_guard)
             if iso is True:
-                states.append(nxt)
                 verdict = ("periodic", i - j, j,
                            f"state {i} is isomorphic to state {j}")
                 break
             if iso is None:
                 undecided.append((j, i))
-        else:
-            states.append(nxt)
-            continue
-        break
     orbit = tuple(st.higgs_type for st in states)
     ok = all(abs(e) <= bound for t in orbit for e in t)
     if verdict is not None:
         status, period, pre, reason = verdict
         return PeriodReport(status, period, pre, orbit, tuple(states),
-                            reason, bound, ok)
+                            reason, bound, ok, True)
+    if stop is not None:
+        return PeriodReport("no period", None, None, orbit, tuple(states),
+                            stop, bound, ok, True)
     if undecided:
         return PeriodReport(
             "undecided", None, None, orbit, tuple(states),
             f"isomorphism search exceeded the guard for state pairs "
-            f"{undecided}", bound, ok)
+            f"{undecided}", bound, ok, False)
     return PeriodReport(
         "no period", None, None, orbit, tuple(states),
-        f"no recurrence within {max_iter} steps", bound, ok)
+        f"no recurrence within {max_iter} steps", bound, ok, False)

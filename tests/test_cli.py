@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -287,6 +288,22 @@ def test_flow_degree_divergence_is_definitive(capsys):
     assert code == 0
     assert rep["verdict"] == "no period"
     assert rep["reason"].startswith("degree diverges")
+
+
+def test_flow_stops_at_its_first_unstable_state(capsys):
+    # theta = 0 on O(1) + O(-1): degree 0, but O(1) destabilizes, and
+    # stepping on would multiply the type by p at every step
+    doc = {"p": 5, "divisor": {"points": [0, 3, 4, "inf"]},
+           "bundle": {"type": [1, -1]}, "theta": [["0", "0"], ["0", "0"]]}
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "flow", "--input", json.dumps(doc))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["verdict"] == "no period" and rep["period"] is None
+    assert rep["reason"].startswith("state 0 is unstable")
+    assert "degree 1" in rep["reason"]
+    assert rep["orbit"] == [[1, -1]]
+    assert [s["semistability"] for s in rep["states"]] == ["unstable"]
 
 
 def test_flow_iteration_guard_is_undecided(capsys):
