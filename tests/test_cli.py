@@ -487,6 +487,79 @@ FROZEN_SPLITS = [
 FROZEN_FLOWS = [
     (UNI3, "b7859c88c07bfd51887096bd9abc81440b579b2530dce49750d940763fb5d3d8"),
     (UNI5, "477892734d2ccdad2c6782b7527accc5922ecf6513367fa6c5d895b0772a15d9"),
+    # rank 3: one flow step back to the start, through an intertwiner
+    # search and the rank-3 candidate test of every state
+    ({"p": 5, "divisor": {"points": [0, 1, 2, 4]},
+      "bundle": {"type": [1, 0, -1]},
+      "theta": [["0", "0", "0"],
+                ["(2*x + 3)/(x^4 + 3*x^3 + 4*x^2 + 2*x)", "0", "0"],
+                ["0", "(3*x + 2)/(x^4 + 3*x^3 + 4*x^2 + 2*x)", "0"]]},
+     "324df4be1af785a2f27f4b91cc83720df26d4221dd18278b4406488bdc8b433b"),
+    ({"p": 7, "divisor": {"points": [2, 4, 5, 6]},
+      "bundle": {"type": [1, 0, -1]},
+      "theta": [["0", "0", "0"],
+                ["(3*x + 6)/(x^4 + 4*x^3 + 6*x^2 + 5*x + 2)", "0", "0"],
+                ["0", "(5*x + 4)/(x^4 + 4*x^3 + 6*x^2 + 5*x + 2)", "0"]]},
+     "172e619c02c9f8af6dd2bf12d282b376448f8ee810f3d49b272dcfc9ab1a4237"),
+]
+
+# Rank-3 semistability at p = 3, 5, 7 and 11, infinity and two or three
+# finite points on every divisor: the rendered reports (exit code, digest),
+# which print every candidate's rank, slope and theta-invariance.  Among
+# the candidates are invariant and non-invariant lines and planes; the
+# verdicts are "unstable" and "undecided".
+FROZEN_SEMISTABLE = [
+    ({"p": 3, "divisor": {"points": [0, 1, "inf"]},
+      "bundle": {"type": [2, 1, 0]},
+      "theta": [["0", "0", "0"],
+                ["(2)/(x^2 + 2*x)", "0", "(x)/(x^2 + 2*x)"],
+                ["0", "(2)/(x^2 + 2*x)", "0"]]},
+     3, "0d66ba55db6a3eef3bde5ed6e5b9a9c821daab61b2349be4dd294537187b7e01"),
+    ({"p": 3, "divisor": {"points": [0, 1, 2, "inf"]},
+      "bundle": {"type": [1, 0, -1]},
+      "theta": [["0", "(2*x^3 + 2*x)/(x^3 + 2*x)", "(x^4 + x^3)/(x^3 + 2*x)"],
+                ["0", "0", "(2*x^2)/(x^3 + 2*x)"],
+                ["(2)/(x^3 + 2*x)", "(x + 2)/(x^3 + 2*x)", "0"]]},
+     3, "d473b1ecdd0600ee0691dfee0559695f6c0e8f183b16831ac17dafc6571014ba"),
+    ({"p": 5, "divisor": {"points": [0, 1, "inf"]},
+      "bundle": {"type": [0, -1, -1]},
+      "theta": [["(2*x + 2)/(x^2 + 4*x)", "0", "0"], ["0", "0", "0"],
+                ["(3)/(x^2 + 4*x)", "0", "0"]]},
+     3, "046b41666d4c0087febb96df8c80d9a6da33ee02cadfedcc3ac931067ce1a4fa"),
+    ({"p": 5, "divisor": {"points": [2, 3, 4, "inf"]},
+      "bundle": {"type": [-1, -1, -2]},
+      "theta": [["0", "0", "0"],
+                ["(4*x^2 + 3*x + 4)/(x^3 + x^2 + x + 1)", "0", "0"],
+                ["(4)/(x^3 + x^2 + x + 1)", "0",
+                 "(x^2 + 3*x + 2)/(x^3 + x^2 + x + 1)"]]},
+     0, "d6f4552b24e729bd0f82234463fd0a6b8cdb9f74c858892365410247c7633729"),
+    ({"p": 7, "divisor": {"points": [3, 6, "inf"]},
+      "bundle": {"type": [0, -1, -2]},
+      "theta": [["0", "(5*x^2 + 5*x + 4)/(x^2 + 5*x + 4)", "0"],
+                ["0", "(x)/(x^2 + 5*x + 4)", "0"],
+                ["0", "(3)/(x^2 + 5*x + 4)", "(4*x + 4)/(x^2 + 5*x + 4)"]]},
+     0, "8a8e4c962d7c9dd27da208f7d8f0bb99de5732dd2e1bc3b584281e5939ae1100"),
+    ({"p": 7, "divisor": {"points": [0, 2, 3, "inf"]},
+      "bundle": {"type": [1, 1, 0]},
+      "theta": [["(4*x^2 + 6*x + 4)/(x^3 + 2*x^2 + 6*x)", "0",
+                 "(2*x^3 + x^2 + 2*x + 3)/(x^3 + 2*x^2 + 6*x)"],
+                ["0", "0", "0"],
+                ["(4*x + 2)/(x^3 + 2*x^2 + 6*x)", "(2*x)/(x^3 + 2*x^2 + 6*x)",
+                 "0"]]},
+     3, "0c31e81e7ec6d0f63020725f5d5c1da869cb3df9fd679d232dfff3067253d97f"),
+    ({"p": 11, "divisor": {"points": [0, 3, "inf"]},
+      "bundle": {"type": [1, 0, -2]},
+      "theta": [["0", "0", "0"],
+                ["(4)/(x^2 + 8*x)", "0",
+                 "(4*x^3 + 10*x^2 + 3*x + 8)/(x^2 + 8*x)"],
+                ["0", "0", "(9*x + 7)/(x^2 + 8*x)"]]},
+     0, "6aae96060c743da9de010cae9e1a767eef0e3f01226f4d9bc41e235c15034099"),
+    ({"p": 11, "divisor": {"points": [1, 8, 9, "inf"]},
+      "bundle": {"type": [1, 0, -1]},
+      "theta": [["0", "0", "0"], ["0", "0", "0"],
+                ["0", "(6*x + 7)/(x^3 + 4*x^2 + x + 5)",
+                 "(7*x^2 + 9*x + 8)/(x^3 + 4*x^2 + x + 5)"]]},
+     0, "a4acec6090d4c35c5af7a0a7db53704dfc87d4760e03c67c0f8ce275b948659b"),
 ]
 
 
@@ -666,6 +739,14 @@ def test_split_report_is_frozen(capsys, doc, want):
 def test_flow_report_is_frozen(capsys, doc, digest):
     code, out = run_text(capsys, "flow", "--json", "--input", json.dumps(doc))
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("doc, code, digest", FROZEN_SEMISTABLE)
+def test_semistable_report_is_frozen(capsys, doc, code, digest):
+    got, out = run_text(capsys, "semistable", "--json",
+                        "--input", json.dumps(doc))
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
