@@ -607,8 +607,10 @@ def run(cfg: RunConfig):
 
     Certified splittings are memoized for the length of the command."""
     try:
-        if cfg.guard_enum <= 0 or cfg.guard_iter <= 0:
-            raise InputFault("guards must be positive", "--guard-enum")
+        for flag, guard in (("--guard-enum", cfg.guard_enum),
+                            ("--guard-iter", cfg.guard_iter)):
+            if guard <= 0:
+                raise InputFault(f"{flag} must be positive", flag)
         if cfg.p is not None:
             try:
                 check_prime(cfg.p)

@@ -140,18 +140,6 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        r = BiPoly.one(self.p)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     # -- the operations the local models use -------------------------------
 
     def restrict_u0(self) -> Poly:

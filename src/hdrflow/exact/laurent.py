@@ -141,18 +141,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        r = Laurent.one(self.p)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def reciprocal(self):
         if not self.is_unit():
             raise ValueError("reciprocal of a non-unit Laurent polynomial")
@@ -195,15 +183,6 @@ class Laurent:
         hi = {k: v for k, v in self.d.items() if k >= e}
         lo = {k: v for k, v in self.d.items() if k < e}
         return Laurent(self.p, hi), Laurent(self.p, lo)
-
-    def eval(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("evaluating Laurent polynomial at 0")
-        inv = pow(a, self.p - 2, self.p)
-        r = 0
-        for k, v in self.d.items():
-            r = (r + v * pow(a if k >= 0 else inv, abs(k), self.p)) % self.p
-        return r
 
     def __repr__(self):
         from ..serialize import laurent_str

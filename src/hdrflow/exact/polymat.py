@@ -10,9 +10,8 @@ det) is left for frames that were not built by an elimination.
 """
 from __future__ import annotations
 
-from .poly import Poly, RatFun
+from .poly import Poly
 from . import matrix
-from .rings import ObjField
 
 
 def is_unimodular(M) -> bool:
@@ -280,7 +279,3 @@ def complete_unimodular(basis_cols, n):
     if not is_unimodular(out):
         raise AssertionError("completion failed unimodularity check")
     return out
-
-
-def ratfun_field(p):
-    return ObjField(RatFun.zero(p), RatFun.one(p))

@@ -28,7 +28,6 @@ from .exact.linalg import kernel_basis
 from .exact.linalg import rank as fp_rank
 from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly
 from .exact.poly import Poly, RatFun
-from .exact.rings import Fp
 from .exact.rmat import (rmat_deriv, rmat_from_lmat, rmat_from_pmat,
                          rmat_inverse)
 from .loghiggs import (HodgeSystem, LogConnectionP1, LogHiggsBundleP1,
@@ -282,14 +281,13 @@ def higgs_isomorphic(h1: LogHiggsBundleP1, h2: LogHiggsBundleP1,
     if h1 == h2:
         return True
     p, r = h1.p, h1.rank
-    F = Fp(p)
     t1, _, V1 = birkhoff_split(h1.bundle)
     t2, _, V2 = birkhoff_split(h2.bundle)
     if t1.entries != t2.entries:
         return False
     for pt in h1.divisor.points:
-        r1 = fp_rank(F, residue(h1, pt))
-        r2 = fp_rank(F, residue(h2, pt))
+        r1 = fp_rank(p, residue(h1, pt))
+        r2 = fp_rank(p, residue(h2, pt))
         if r1 != r2:
             return False
     a = t1.entries
@@ -335,7 +333,7 @@ def higgs_isomorphic(h1: LogHiggsBundleP1, h2: LogHiggsBundleP1,
         basis = [[1 if t == s else 0 for t in range(nslots)]
                  for s in range(nslots)]
     else:
-        basis = kernel_basis(F, rows)
+        basis = kernel_basis(p, rows)
     w = len(basis)
     if w == 0:
         return False
@@ -354,14 +352,14 @@ def higgs_isomorphic(h1: LogHiggsBundleP1, h2: LogHiggsBundleP1,
     for t in range(w):
         cand = [0] * w
         cand[t] = 1
-        if fp_det(F, g0_of(cand)) != 0:
+        if fp_det(p, g0_of(cand)) != 0:
             return True
     if p ** w - 1 > enum_guard:
         return None
     for coeffs in product(range(p), repeat=w):
         if not any(coeffs):
             continue
-        if fp_det(F, g0_of(coeffs)) != 0:
+        if fp_det(p, g0_of(coeffs)) != 0:
             return True
     return False
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .exact import linalg, matrix, polymat
+from .exact import matrix, polymat
 from .exact.laurent import Laurent
 from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly
 from .exact.poly import Poly, RatFun
@@ -397,15 +397,16 @@ class FlagHeuristicReport:
                    for c in self.candidates)
 
 
-def _theta_invariant(p, th, cols) -> bool:
-    F = polymat.ratfun_field(p)
-    span = [[RatFun(cols[c][i]) for c in range(len(cols))]
-            for i in range(len(cols[0]))]
-    for col in cols:
-        img = matrix.vec(th, [RatFun(e) for e in col])
-        if not linalg.solve_linear(F, span, img).consistent:
-            return False
-    return True
+def _theta_invariant(th, cols) -> bool:
+    """Does theta map the span of the columns `cols` into itself?
+
+    `cols` must be a saturated basis, as every candidate of
+    `invariant_flag_heuristic` is: then a polynomial vector lies in their
+    span over F_p(x) exactly when it lies in their span over F_p[x], so the
+    images theta * col, cleared of denominators, decide it over F_p[x]."""
+    images = [matrix.vec(th, [RatFun(e) for e in col]) for col in cols]
+    cleared = rmat_clear_cols(matrix.from_columns(images))
+    return polymat.submodule_contains(cols, [list(c) for c in zip(*cleared)])
 
 
 def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
@@ -467,7 +468,7 @@ def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
         dsub, musub = degree_and_slope(P1Bundle.from_rows(p, fr.t_sub))
         out.append(FlagCandidate(
             rank=len(cols), degree=dsub, slope=musub,
-            theta_invariant=_theta_invariant(p, th, cols),
+            theta_invariant=_theta_invariant(th, cols),
             destabilizing=musub > mu,
             source=seen[key],
             basis=tuple(tuple(c) for c in cols)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .exact import linalg, matrix, polymat
 from .exact.poly import Poly
-from .exact.rings import Fp, check_prime
+from .exact.rings import check_prime
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,9 @@ def _module_filtration(filt: WeightFiltration) -> WeightFiltration:
 def _field_filtration(filt: WeightFiltration) -> WeightFiltration:
     """A filtration by constant submodules handed back over F_p, each step
     as its reduced echelon basis."""
-    F = Fp(filt.p)
     return WeightFiltration(filt.p, filt.dim, filt.lo, filt.hi, tuple(
         tuple(tuple(v) for v in linalg.span_basis(
-            F, [list(_at_zero(v)) for v in b]))
+            filt.p, [list(_at_zero(v)) for v in b]))
         for b in filt.bases))
 
 

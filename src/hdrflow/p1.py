@@ -29,7 +29,7 @@ from .exact import linalg, matrix, polymat
 from .exact.laurent import Laurent
 from .exact.lmat import lmat, lmat_from_xpoly, lmat_from_ypoly
 from .exact.poly import Poly
-from .exact.rings import Fp, check_prime
+from .exact.rings import check_prime
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,10 @@ def _section_basis(p: int, T, m: int, bounds=None):
                         eq = eqs[e1 + e] = [0] * (r * width)
                     eq[off + e] = c
         rows.extend(eqs[g] for g in sorted(eqs))
-    F = Fp(p)
     if not rows:
         # no positive exponents can appear at all: every polynomial works
-        return linalg.identity(F, r * width)
-    return linalg.kernel_basis(F, rows)
+        return linalg.identity(r * width)
+    return linalg.kernel_basis(p, rows)
 
 
 def cech_h0(b: P1Bundle, d: int) -> int:

@@ -9,7 +9,6 @@ exhaustive search enumerates every increasing exhaustive filtration on F_p^n
 import itertools
 
 from hdrflow.exact import linalg
-from hdrflow.exact.rings import Fp
 from hdrflow.monodromy import WeightFiltration, verify_filtration_axioms
 
 
@@ -50,14 +49,13 @@ def all_subspaces(p, n):
     """Every subspace of F_p^n for n <= 3, as canonical rref bases."""
     if n > 3:
         raise ValueError("enumeration written for n <= 3 only")
-    F = Fp(p)
     out = {(): []}
     nz = [v for v in itertools.product(range(p), repeat=n) if any(v)]
     pool = [[v] for v in nz]
     if n >= 3:
         pool += [[v, w] for v, w in itertools.combinations(nz, 2)]
     for gens in pool:
-        b = linalg.span_basis(F, [list(g) for g in gens])
+        b = linalg.span_basis(p, [list(g) for g in gens])
         out[tuple(tuple(r) for r in b)] = b
     full = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     out[tuple(tuple(r) for r in full)] = full
@@ -73,21 +71,20 @@ def axiom_passing_filtrations(op):
     pruned branches fail axiom (1) outright.
     """
     p, n = op.p, op.dim
-    F = Fp(p)
     subs = all_subspaces(p, n)
 
     def key(b):
         return tuple(tuple(r) for r in b)
 
     idx = {key(b): i for i, b in enumerate(subs)}
-    leq = [[linalg.subspace_leq(F, a, b) for b in subs] for a in subs]
+    leq = [[linalg.subspace_leq(p, a, b) for b in subs] for a in subs]
     N = [list(r) for r in op.rows]
-    nimg = [idx[key(linalg.span_basis(F, [linalg.mat_vec(F, N, list(v))
+    nimg = [idx[key(linalg.span_basis(p, [linalg.mat_vec(p, N, list(v))
                                           for v in b]))]
             for b in subs]
     zero_i = idx[()]
     full_i = idx[key(linalg.span_basis(
-        F, [[1 if i == j else 0 for j in range(n)] for i in range(n)]))]
+        p, [[1 if i == j else 0 for j in range(n)] for i in range(n)]))]
     window = list(range(-(n - 1), n))
     hits = []
 

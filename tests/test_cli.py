@@ -430,6 +430,15 @@ def test_exponent_bound_is_inclusive_and_sums_repeated_factors():
         parse_laurent("x^-" + OVER, 3)
 
 
+@pytest.mark.parametrize("flag", ["--guard-enum", "--guard-iter"])
+def test_nonpositive_guard_names_its_flag(capsys, flag):
+    code, rep = run_json(capsys, "flow", flag, "0",
+                         "--input", json.dumps(UNI3))
+    assert code == 4
+    assert rep["location"] == flag
+    assert rep["error"] == f"{flag} must be positive"
+
+
 def test_unknown_flag_exits_with_input_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["split", "--bogus"])

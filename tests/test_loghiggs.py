@@ -1,13 +1,14 @@
 import random
 
-from hdrflow.exact import matrix
+from hdrflow.exact import matrix, polymat
 from hdrflow.exact.laurent import Laurent
 from hdrflow.exact.lmat import lmat_to_xpoly
 from hdrflow.exact.poly import Poly, RatFun
-from hdrflow.exact.rings import Fp
 from hdrflow.exact import linalg
-from hdrflow.exact.rmat import rmat_from_lmat, rmat_inverse
-from hdrflow.loghiggs import (INF, LogDivisor, check_hodge_system,
+from hdrflow.exact.rmat import (rmat_clear_cols, rmat_clear_rows,
+                                rmat_from_lmat, rmat_inverse)
+from hdrflow.loghiggs import (INF, LogDivisor, _theta_invariant,
+                              check_hodge_system,
                               griffiths_grading, higgs_bundle,
                               invariant_flag_heuristic, is_semistable_rank2,
                               kernel_semipositivity_check, log_connection,
@@ -202,15 +203,14 @@ def test_residue_conjugation():
         div = random_divisor(rng, p)
         hb = random_split_higgs(rng, p, types, div)
         hb2, g = conjugated(rng, hb)
-        F = Fp(p)
         for pt in div.points:
             if pt == INF:
                 # chart-1 frame is untouched by a chart-0 frame change
                 assert residue(hb2, INF) == residue(hb, INF)
                 continue
             gc = [[e.eval(pt) for e in row] for row in g]
-            want = linalg.mat_mul(F, linalg.inverse(F, gc),
-                                  linalg.mat_mul(F, residue(hb, pt), gc))
+            want = linalg.mat_mul(p, linalg.inverse(p, gc),
+                                  linalg.mat_mul(p, residue(hb, pt), gc))
             assert residue(hb2, pt) == want
 
 
@@ -337,6 +337,58 @@ def test_flag_heuristic_block_diagonal():
                                                 th))
     ranks = sorted((c.source, c.rank) for c in rep.candidates)
     assert ("im theta^1", 1) in ranks and ("ker theta^1", 2) in ranks
+
+
+def test_theta_invariance_matches_the_rank_over_the_function_field():
+    """On saturated candidates, containment over F_p[x] answers the
+    question over F_p(x): theta maps the span of cols into itself exactly
+    when [cols | theta cols] has rank len(cols) over F_p(x)."""
+    rng = random.Random(0x7E7A)
+
+    def vec(p):
+        return [Poly(p, tuple(rng.randrange(p) for _ in range(3)))
+                for _ in range(3)]
+    answers = []
+    for p in (3, 5, 97):
+        for nilpotent in (False, True):
+            div = random_divisor(rng, p)
+            types = sorted((rng.randint(-1, 1) for _ in range(3)),
+                           reverse=True)
+            hb, _ = conjugated(rng, random_split_higgs(rng, p, types, div,
+                                                       nilpotent))
+            th = [list(row) for row in hb.theta0]
+            invariant = []  # saturated kernels and images of theta powers
+            power = th
+            for _ in range(2):
+                invariant.append(
+                    polymat.kernel_saturated(rmat_clear_rows(power)))
+                invariant.append(polymat.saturate(rmat_clear_cols(power)))
+                power = matrix.mul(power, th)
+            # random saturated lines and planes, and planes through an
+            # invariant line u: [u, v] with the line first and last, where
+            # that basis is already saturated
+            plain = [polymat.saturate(matrix.from_columns(
+                [vec(p) for _ in range(k)])) for k in (1, 2)]
+            for (u,) in (c for c in invariant if len(c) == 1):
+                v = vec(p)
+                form = polymat.smith_form(matrix.from_columns([u, v]))
+                if all(d.is_constant() and not d.is_zero()
+                       for d in form.diagonal()):
+                    plain += [[u, v], [v, u]]
+            for cols in invariant + plain:
+                if not 0 < len(cols) < 3:
+                    continue
+                images = [matrix.vec(th, [RatFun(e) for e in col])
+                          for col in cols]
+                both = [a + b for a, b in zip(
+                    matrix.from_columns(cols),
+                    rmat_clear_cols(matrix.from_columns(images)))]
+                want = polymat.smith_form(both).rank == len(cols)
+                got = _theta_invariant(th, cols)
+                assert got == want
+                assert got or cols in plain
+                answers.append(got)
+    assert True in answers and False in answers
 
 
 def test_griffiths_grading_examples():
