@@ -316,6 +316,29 @@ def test_flow_iteration_guard_is_undecided(capsys):
     assert "no recurrence within 1 steps" in rep["reason"]
 
 
+# theta faults the flow refuses at its first state, before any transform:
+# the rank bound is checked before nilpotency (the rank-4 field below is
+# not nilpotent either)
+FLOW_THETA_FAULTS = [
+    ({"p": 3, "divisor": {"points": [0, 1, 2, "inf"]},
+      "bundle": {"type": [0, 0]}, "theta": [["1/x", "0"], ["0", "0"]]},
+     "field is not nilpotent of level <= p-1 = 2"),
+    ({"p": 3, "divisor": {"points": [0, 1, 2, "inf"]},
+      "bundle": {"type": [0, 0, 0, 0]},
+      "theta": [["1/x", "0", "0", "0"], ["0", "0", "0", "0"],
+                ["0", "0", "0", "0"], ["0", "0", "0", "0"]]},
+     "rank 4 exceeds the prime 3"),
+]
+
+
+@pytest.mark.parametrize("doc, message", FLOW_THETA_FAULTS)
+def test_flow_theta_fault_is_an_input_error(capsys, doc, message):
+    code, rep = run_json(capsys, "flow", "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["status"] == "input-error"
+    assert rep["error"] == message
+
+
 # -- nearby-check -----------------------------------------------------------------
 
 def test_nearby_check_reports_upsilon(capsys):

@@ -12,6 +12,7 @@ from hdrflow.flow import (FlowState, PeriodReport, SimpsonReport,
 from hdrflow.loghiggs import (INF, LogDivisor, griffiths_grading,
                               higgs_bundle, log_connection, nilpotency_level)
 from hdrflow.p1 import P1Bundle, birkhoff_split, degree_and_slope
+from hdrflow.serialize import parse_ratfun
 
 
 def four_points(p, lam=None):
@@ -305,3 +306,47 @@ def test_flow_random_semistable_rank2():
                 assert degree_and_slope(st.higgs.bundle)[0] == 0
                 assert st.semistability.status == "semistable"
                 assert all(abs(a) <= bound for a in st.higgs_type)
+
+
+# Five flows at p = 3, 5, 7 in ranks 2 and 3: per state, the splitting type
+# of the flat side and the (rank, degree) of every Simpson step (None at the
+# start, which has no Simpson report).  The last flow takes three steps, and
+# its first transform moves the type.
+FROZEN_FLOW_STATES = [
+    (3, (0, 1, 2, INF), (1, -1),
+     [["0", "0"], ["(1)/(x^3 + 2*x)", "0"]],
+     [((1, -1), None), ((1, -1), ((1, 1),))]),
+    (5, (0, 1, 2, INF), (1, -1),
+     [["0", "0"], ["(1)/(x^3 + 2*x^2 + 2*x)", "0"]],
+     [((0, 0), None), ((0, 0), ()), ((0, 0), ())]),
+    (5, (0, 1, 2, 4), (1, 0, -1),
+     [["0", "0", "0"],
+      ["(2*x + 3)/(x^4 + 3*x^3 + 4*x^2 + 2*x)", "0", "0"],
+      ["0", "(3*x + 2)/(x^4 + 3*x^3 + 4*x^2 + 2*x)", "0"]],
+     [((1, 0, -1), None), ((1, 0, -1), ((2, 1), (1, 1)))]),
+    (7, (2, 4, 5, 6), (1, 0, -1),
+     [["0", "0", "0"],
+      ["(3*x + 6)/(x^4 + 4*x^3 + 6*x^2 + 5*x + 2)", "0", "0"],
+      ["0", "(5*x + 4)/(x^4 + 4*x^3 + 6*x^2 + 5*x + 2)", "0"]],
+     [((1, 0, -1), None), ((1, 0, -1), ((2, 1), (1, 1)))]),
+    (3, (0, 1, 2, INF), (1, 0, -1),
+     [["0", "0", "0"], ["(1)/(x^3 + 2*x)", "0", "0"],
+      ["(2)/(x^3 + 2*x)", "(x + 2)/(x^3 + 2*x)", "0"]],
+     [((1, 0, -1), None), ((0, 0, 0), ((2, 1), (1, 1))),
+      ((0, 0, 0), ()), ((0, 0, 0), ())]),
+]
+
+
+def frozen_flow_start(p, points, types, theta):
+    th = [[parse_ratfun(e, p) for e in row] for row in theta]
+    return higgs_bundle(P1Bundle.of_type(p, types), LogDivisor(p, points), th)
+
+
+@pytest.mark.parametrize("p, points, types, theta, want", FROZEN_FLOW_STATES)
+def test_flow_states_are_frozen(p, points, types, theta, want):
+    rep = detect_periodicity(frozen_flow_start(p, points, types, theta))
+    got = [(st.conn_type,
+            None if st.simpson is None
+            else tuple((s.rank, s.degree) for s in st.simpson.steps))
+           for st in rep.states]
+    assert got == want
