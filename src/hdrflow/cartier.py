@@ -30,12 +30,25 @@ from .p1 import P1Bundle
 
 @dataclass(frozen=True)
 class FrobeniusLift:
-    """x -> x^p + p a(x) on chart 0, or the same shape in y on chart 1."""
+    """x -> x^p + p a(x) on chart 0, or the same shape in y on chart 1.
+
+    Construction checks the divisor-preservation condition, so every lift
+    that exists preserves its divisor."""
 
     p: int
     chart: int
     a: Poly
     divisor: LogDivisor
+
+    def __post_init__(self):
+        if self.chart not in (0, 1):
+            raise ValueError("chart must be 0 or 1")
+        for c in _chart_points(self.divisor, self.chart):
+            probe = self.a + _g_point(self.p, c)
+            if not probe.is_zero() and probe.order_at(c) < self.p:
+                where = c if self.chart == 0 else f"{c} (chart 1)"
+                raise ValueError(f"lifting does not preserve the divisor "
+                                 f"at {where}")
 
 
 @dataclass(frozen=True)
@@ -73,19 +86,11 @@ def _chart_points(divisor: LogDivisor, chart: int):
 
 
 def frobenius_lift(divisor: LogDivisor, chart: int, a=0) -> FrobeniusLift:
-    """Validate the divisor-preservation condition and build the lift."""
-    p = divisor.p
-    if chart not in (0, 1):
-        raise ValueError("chart must be 0 or 1")
+    """The lift with perturbation a (a polynomial or an integer constant);
+    the constructor checks that it preserves the divisor."""
     if isinstance(a, int):
-        a = Poly.const(p, a)
-    for c in _chart_points(divisor, chart):
-        probe = a + _g_point(p, c)
-        if not probe.is_zero() and probe.order_at(c) < p:
-            where = c if chart == 0 else f"{c} (chart 1)"
-            raise ValueError(f"lifting does not preserve the divisor "
-                             f"at {where}")
-    return FrobeniusLift(p, chart, a, divisor)
+        a = Poly.const(divisor.p, a)
+    return FrobeniusLift(divisor.p, chart, a, divisor)
 
 
 def standard_lift(divisor: LogDivisor, chart: int) -> FrobeniusLift:
@@ -129,9 +134,6 @@ def canonical_lift(divisor: LogDivisor, chart: int) -> FrobeniusLift:
 def zeta(lift: FrobeniusLift) -> ZetaMap:
     """Values of dF/p on the 1-form basis."""
     p = lift.p
-    # re-run the divisor check so a hand-built lift faults here, naming
-    # the offending point
-    frobenius_lift(lift.divisor, lift.chart, lift.a)
     on_dx = Poly.monomial(p, p - 1) + lift.a.deriv()
     on_dlog = RatFun(on_dx, Poly.monomial(p, p - 1))
     return ZetaMap(p, lift.chart, on_dx, on_dlog)
@@ -195,6 +197,25 @@ def glue_change_of_lift(lift1: FrobeniusLift, lift2: FrobeniusLift,
     return tuple(tuple(r) for r in tau), tuple(tuple(r) for r in g)
 
 
+class ThetaFault(ValueError):
+    """A Higgs field the inverse Cartier transform does not accept."""
+
+
+def transform_level(hb: LogHiggsBundleP1) -> int:
+    """The nilpotency level of theta, once the transform is known to accept
+    it: rank at most p, then nilpotent of level at most p - 1.  Raises
+    ThetaFault naming the first condition that fails."""
+    p, r = hb.p, hb.rank
+    if r > p:
+        raise ThetaFault(f"rank {r} exceeds the prime {p}")
+    level = nilpotency_level(hb)
+    if level is None:
+        raise ThetaFault(f"field is not nilpotent of level <= p-1 = {p - 1}")
+    if level > p - 1:
+        raise ThetaFault(f"nilpotency level {level} exceeds p-1 = {p - 1}")
+    return level
+
+
 def inverse_cartier(hb: LogHiggsBundleP1, lift0=None,
                     lift1=None) -> LogConnectionP1:
     """The connection d + zeta(F* theta) on the Frobenius pullback.
@@ -205,13 +226,7 @@ def inverse_cartier(hb: LogHiggsBundleP1, lift0=None,
     by a unipotent factor and leaves the degree at p deg E.
     """
     p, r = hb.p, hb.rank
-    if r > p:
-        raise ValueError(f"rank {r} exceeds the prime {p}")
-    level = nilpotency_level(hb)
-    if level is None:
-        raise ValueError(f"field is not nilpotent of level <= p-1 = {p - 1}")
-    if level > p - 1:
-        raise ValueError(f"nilpotency level {level} exceeds p-1 = {p - 1}")
+    transform_level(hb)
     l0 = _as_lift(hb.divisor, 0, lift0)
     l1 = _as_lift(hb.divisor, 1, lift1)
 

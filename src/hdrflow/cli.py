@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .cartier import inverse_cartier, p_curvature
+from .cartier import ThetaFault, inverse_cartier, p_curvature
 from .chern import ChernData, GradedRing, RingTooLarge, check_equivalence
 from .exact import matrix
 from .exact.poly import Poly, RatFun
@@ -506,6 +506,8 @@ def _cmd_flow(cfg: RunConfig) -> dict:
     try:
         rep = detect_periodicity(hb, max_iter=cfg.guard_iter,
                                  enum_guard=cfg.guard_enum)
+    except ThetaFault as e:
+        raise InputFault(str(e), "input.theta")
     except ValueError as e:
         msg = str(e)
         if "unresolved" in msg:

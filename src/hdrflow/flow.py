@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
-from .cartier import canonical_lift, inverse_cartier
+from .cartier import canonical_lift, inverse_cartier, transform_level
 from .exact import matrix, polymat
 from .exact.laurent import Laurent
 from .exact.linalg import det as fp_det
@@ -33,9 +34,9 @@ from .exact.rmat import (rmat_deriv, rmat_from_lmat, rmat_from_pmat,
 from .loghiggs import (HodgeSystem, LogConnectionP1, LogHiggsBundleP1,
                        SemistabilityVerdict, _block_of, _flag_frames,
                        _graded_semistability, check_hodge_system,
-                       higgs_bundle, nilpotency_level, residue)
+                       higgs_bundle, residue)
 from .p1 import (P1Bundle, birkhoff_split, degree_and_slope,
-                 hn_filtration_plain, sub_adapted)
+                 hn_filtration_plain, subbundle_degree)
 
 
 # -- Simpson filtration ---------------------------------------------------------
@@ -76,12 +77,6 @@ def _nabla_image(con: LogConnectionP1, cols):
             img.append(f.num)
         out.append(img)
     return out
-
-
-def _step_degree(b: P1Bundle, cols) -> int:
-    fr = sub_adapted(b, [tuple(c) for c in cols])
-    sub = P1Bundle.from_rows(b.p, fr.t_sub)
-    return degree_and_slope(sub)[0]
 
 
 def _graded_of_flag(con: LogConnectionP1, flag, guard: int = 10 ** 6):
@@ -179,7 +174,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
         flag = [F for i, F in enumerate(flag)
                 if len(F) < r and (i + 1 == len(flag)
                                    or F != flag[i + 1])]
-    steps = tuple(SimpsonStep(len(F), _step_degree(b, F),
+    steps = tuple(SimpsonStep(len(F), subbundle_degree(b, F),
                               tuple(tuple(c) for c in F))
                   for F in reversed(flag))
     if not stable:
@@ -194,9 +189,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
 class FlowState:
     index: int
     higgs: LogHiggsBundleP1
-    connection: LogConnectionP1
     higgs_type: tuple
-    conn_type: tuple
     level: int
     semistability: object
     simpson: SimpsonReport | None
@@ -206,6 +199,16 @@ class FlowState:
     def p(self) -> int:
         return self.higgs.p
 
+    @cached_property
+    def connection(self) -> LogConnectionP1:
+        """The inverse Cartier transform, built when first read: only a
+        flow step reads it, so the last state of a flow never builds it."""
+        return inverse_cartier(self.higgs, *self.lifts)
+
+    @property
+    def conn_type(self) -> tuple:
+        return birkhoff_split(self.connection.bundle)[0].entries
+
 
 def _resolve_lifts(divisor, lifts):
     if lifts is None:
@@ -214,19 +217,19 @@ def _resolve_lifts(divisor, lifts):
     return (l0, l1)
 
 
-def _make_state(index, hb, lifts, simpson, guard):
-    v = inverse_cartier(hb, lifts[0], lifts[1])
+def _make_state(index, hb, lifts, level, simpson, semistability):
     te, _, _ = birkhoff_split(hb.bundle)
-    tv, _, _ = birkhoff_split(v.bundle)
-    return FlowState(index, hb, v, te.entries, tv.entries,
-                     nilpotency_level(hb), _graded_semistability(hb, guard),
-                     simpson, lifts)
+    return FlowState(index, hb, te.entries, level, semistability, simpson,
+                     lifts)
 
 
 def flow_start(hb: LogHiggsBundleP1, lifts=None,
                guard: int = 10 ** 6) -> FlowState:
     lifts = _resolve_lifts(hb.divisor, lifts)
-    return _make_state(0, hb, lifts, None, guard)
+    # a field the transform refuses is refused here, before any other work
+    level = transform_level(hb)
+    return _make_state(0, hb, lifts, level, None,
+                       _graded_semistability(hb, guard))
 
 
 def flow_step(state: FlowState, lifts=None, guard: int = 50) -> FlowState:
@@ -249,7 +252,9 @@ def flow_step(state: FlowState, lifts=None, guard: int = 50) -> FlowState:
         raise AssertionError("degree scaling failed along the step")
     if nxt.rank != state.higgs.rank:
         raise AssertionError("rank changed along the step")
-    return _make_state(state.index + 1, nxt, state.lifts, rep, 10 ** 6)
+    # the graded object's verdict was taken under the same 10^6 guard
+    return _make_state(state.index + 1, nxt, state.lifts,
+                       transform_level(nxt), rep, rep.graded.semistability)
 
 
 def splitting_bound(rank: int, divisor) -> Fraction:

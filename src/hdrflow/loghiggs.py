@@ -24,7 +24,7 @@ from .exact.rmat import (rmat_clear_cols, rmat_clear_rows, rmat_deriv,
                          rmat_subst_inv)
 from .p1 import (P1Bundle, degree_and_slope, birkhoff_split, global_sections,
                  hn_filtration_plain, line_subbundle_degree,
-                 max_subsheaf_degree, sub_adapted)
+                 max_subsheaf_degree, sub_adapted, subbundle_degree)
 
 INF = "inf"
 
@@ -418,7 +418,7 @@ def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
     complete=False.
     """
     b = hb.bundle
-    p, r = b.p, b.rank
+    r = b.rank
     _, mu = degree_and_slope(b)
     th = [list(row) for row in hb.theta0]
     seen = {}
@@ -464,8 +464,8 @@ def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
     out = []
     for key in order:
         cols = [list(c) for c in key]
-        fr = sub_adapted(b, cols)
-        dsub, musub = degree_and_slope(P1Bundle.from_rows(p, fr.t_sub))
+        dsub = subbundle_degree(b, cols)
+        musub = Fraction(dsub, len(cols))
         out.append(FlagCandidate(
             rank=len(cols), degree=dsub, slope=musub,
             theta_invariant=_theta_invariant(th, cols),

@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import linalg, matrix, polymat
 from .exact.laurent import Laurent
@@ -380,6 +381,26 @@ def line_subbundle_degree(b: P1Bundle, s0) -> int:
         raise ValueError("section vector is not primitive")
     w = matrix.vec(b.matrix(), [Laurent.from_poly(q) for q in s0])
     return -max(e.max_exp() for e in w if not e.is_zero())
+
+
+def subbundle_degree(b: P1Bundle, cols) -> int:
+    """Degree of the sub-bundle spanned by a saturated chart-0 basis `cols`
+    (polynomial columns), read off the exterior power.
+
+    det F is the line sub-bundle of the s-th exterior power through the
+    Pluecker vector of `cols`, primitive because the basis is saturated;
+    the transition of that exterior power is the compound matrix of T, its
+    s x s minors.  A basis that is not saturated raises ValueError."""
+    s = len(cols)
+    if s == 1:
+        return line_subbundle_degree(b, cols[0])
+    subsets = list(combinations(range(b.rank), s))
+    pluecker = [matrix.det([[col[i] for col in cols] for i in rows])
+                for rows in subsets]
+    compound = [[matrix.det([[b.t[i][j] for j in J] for i in I])
+                 for J in subsets] for I in subsets]
+    return line_subbundle_degree(P1Bundle(b.p, tuple(map(tuple, compound))),
+                                 pluecker)
 
 
 @dataclass(frozen=True)

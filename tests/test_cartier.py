@@ -100,13 +100,12 @@ def test_zeta_frozen_examples():
     assert z.on_dx == Poly.monomial(p, p - 1) + Poly(p, (0, 2))
 
 
-def test_zeta_revalidates_hand_built_lift():
+def test_hand_built_lift_is_refused_at_construction():
     p = 5
     D = LogDivisor(p, (0, 1, INF))
     # valid at 0 (order 5 there) but not at 1
-    rogue = FrobeniusLift(p, 0, Poly.monomial(p, p), D)
     with pytest.raises(ValueError, match="at 1"):
-        zeta(rogue)
+        FrobeniusLift(p, 0, Poly.monomial(p, p), D)
 
 
 # -- the transform ------------------------------------------------------------

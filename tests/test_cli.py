@@ -339,6 +339,13 @@ def test_flow_theta_fault_is_an_input_error(capsys, doc, message):
     assert rep["error"] == message
 
 
+@pytest.mark.parametrize("doc", [doc for doc, _ in FLOW_THETA_FAULTS])
+def test_flow_theta_fault_names_the_field(capsys, doc):
+    code, rep = run_json(capsys, "flow", "--input", json.dumps(doc))
+    assert code == 4
+    assert rep["location"] == "input.theta"
+
+
 # -- nearby-check -----------------------------------------------------------------
 
 def test_nearby_check_reports_upsilon(capsys):

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hdrflow import cartier, flow, loghiggs
 from hdrflow.cartier import canonical_lift, frobenius_lift
 from hdrflow.exact.poly import Poly, RatFun
 from hdrflow.flow import (FlowState, PeriodReport, SimpsonReport,
@@ -350,3 +352,60 @@ def test_flow_states_are_frozen(p, points, types, theta, want):
             else tuple((s.rank, s.degree) for s in st.simpson.steps))
            for st in rep.states]
     assert got == want
+
+
+def test_flow_work_is_frozen(monkeypatch):
+    """A flow of k steps builds k transforms (the last state's is never
+    read), takes one verdict per state, reads Simpson-step and candidate
+    degrees without adapted frames, and checks each lift once, where it is
+    built."""
+    *start, want = FROZEN_FLOW_STATES[-1]
+    k = len(want) - 1
+    calls = {"inverse_cartier": 0, "verdict": 0, "heuristic": 0}
+    adapted_by = []
+    checked = []
+    zeta_lifts = []
+    transform = flow.inverse_cartier
+    verdict = flow._graded_semistability
+    heuristic = loghiggs.invariant_flag_heuristic
+    adapt = loghiggs.sub_adapted
+    check = cartier.FrobeniusLift.__post_init__
+    zeta = cartier.zeta
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_adapt(*args):
+        adapted_by.append(sys._getframe(1).f_code.co_name)
+        return adapt(*args)
+
+    def counted_check(lift):
+        checked.append(lift)
+        check(lift)
+
+    def counted_zeta(lift):
+        zeta_lifts.append(lift)
+        return zeta(lift)
+
+    monkeypatch.setattr(flow, "inverse_cartier",
+                        counted("inverse_cartier", transform))
+    monkeypatch.setattr(flow, "_graded_semistability",
+                        counted("verdict", verdict))
+    monkeypatch.setattr(loghiggs, "invariant_flag_heuristic",
+                        counted("heuristic", heuristic))
+    monkeypatch.setattr(loghiggs, "sub_adapted", counted_adapt)
+    monkeypatch.setattr(cartier.FrobeniusLift, "__post_init__",
+                        counted_check)
+    monkeypatch.setattr(cartier, "zeta", counted_zeta)
+    rep = detect_periodicity(frozen_flow_start(*start))
+    assert len(rep.states) == k + 1 and k >= 2
+    assert calls["inverse_cartier"] == k
+    assert calls["verdict"] == k + 1
+    assert calls["heuristic"] == k + 1
+    assert "invariant_flag_heuristic" not in adapted_by
+    assert sorted(lift.chart for lift in checked) == [0, 1]
+    assert len(zeta_lifts) == 2 * k
+    assert all(any(lift is c for c in checked) for lift in zeta_lifts)

@@ -3,14 +3,17 @@ import random
 from contextlib import nullcontext
 from fractions import Fraction
 
+import pytest
+
 from hdrflow import cli, p1
-from hdrflow.exact import matrix
+from hdrflow.exact import matrix, polymat
 from hdrflow.exact.laurent import Laurent
 from hdrflow.exact.poly import Poly
 from hdrflow.p1 import (P1Bundle, birkhoff_split, cech_h0, degree_and_slope,
                         frobenius_pullback, global_sections,
                         hn_filtration_plain, line_subbundle_degree,
-                        max_subsheaf_degree, split_memo, sub_adapted)
+                        max_subsheaf_degree, split_memo, sub_adapted,
+                        subbundle_degree)
 
 
 def random_frame(rng, p, r, side, maxdeg=2):
@@ -194,6 +197,39 @@ def test_sub_adapted_frames():
         dsub = matrix.det(ad.t_sub)
         dquot = matrix.det(ad.t_quot)
         assert -(dsub.min_exp() + dquot.min_exp()) == sum(types)
+
+
+def random_saturated(rng, p, r, s):
+    """A saturated chart-0 basis of rank s: the saturation of s random
+    polynomial columns, drawn again until they are independent."""
+    while True:
+        gens = [[Poly(p, tuple(rng.randrange(p)
+                               for _ in range(rng.randint(1, 3))))
+                 for _ in range(r)] for _ in range(s)]
+        cols = polymat.saturate(matrix.from_columns(gens))
+        if len(cols) == s:
+            return [tuple(c) for c in cols]
+
+
+def test_subbundle_degree_equals_the_adapted_frame_degree():
+    rng = random.Random(0xD37)
+    seen = set()
+    for p in (3, 5, 97):
+        x = Poly.x(p)
+        for r in (2, 3, 4, 4):
+            _, b = planted(rng, p, r)
+            for s in range(1, r):
+                cols = random_saturated(rng, p, r, s)
+                fr = sub_adapted(b, cols)
+                want = degree_and_slope(P1Bundle.from_rows(p, fr.t_sub))[0]
+                assert subbundle_degree(b, cols) == want
+                seen.add(want)
+                # x times a column leaves the span's saturation alone but
+                # makes the basis unsaturated
+                bad = [tuple(x * e for e in cols[0])] + cols[1:]
+                with pytest.raises(ValueError, match="not primitive"):
+                    subbundle_degree(b, bad)
+    assert len(seen) > 3
 
 
 # -- split memo -------------------------------------------------------------------
