@@ -186,10 +186,8 @@ def glue_change_of_lift(lift1: FrobeniusLift, lift2: FrobeniusLift,
         raise ValueError("liftings live on different charts")
     if lift1.divisor != hb.divisor or lift2.divisor != hb.divisor:
         raise ValueError("lifting divisor does not match the bundle")
+    transform_level(hb)
     p = hb.p
-    level = nilpotency_level(hb)
-    if level is None or level > p - 1:
-        raise ValueError("field is not nilpotent of level <= p-1")
     m0 = hb.theta0 if lift1.chart == 0 else hb.theta1
     diff = RatFun(lift1.a - lift2.a)
     tau = [[e.dilate(p) * diff for e in row] for row in m0]

@@ -2,6 +2,10 @@
 
 Transition matrices of bundles on P^1 live here: entries are regular on the
 overlap chart Spec F_p[x, 1/x].
+
+The dict `d` holds only nonzero reduced values.  Immutable by contract:
+the arithmetic may return an operand itself (a sum or product with zero, a
+product with 1), so no caller may mutate or rebind `.d`.
 """
 from __future__ import annotations
 
@@ -21,6 +25,15 @@ class Laurent:
                 if v:
                     dd[k] = v
         self.d = dd
+
+    @classmethod
+    def _trusted(cls, p: int, d: dict):
+        """A result of the arithmetic: p is already checked and every value
+        of d already reduced and nonzero."""
+        f = object.__new__(cls)
+        f.p = p
+        f.d = d
+        return f
 
     # -- constructors ------------------------------------------------------
 
@@ -109,15 +122,25 @@ class Laurent:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if not o.d:
+            return self
+        if not self.d:
+            return o
+        p = self.p
         d = dict(self.d)
         for k, v in o.d.items():
-            d[k] = d.get(k, 0) + v
-        return Laurent(self.p, d)
+            v = (d.get(k, 0) + v) % p
+            if v:
+                d[k] = v
+            else:
+                del d[k]
+        return Laurent._trusted(p, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent(self.p, {k: -v for k, v in self.d.items()})
+        p = self.p
+        return Laurent._trusted(p, {k: -v % p for k, v in self.d.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -132,12 +155,25 @@ class Laurent:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if not self.d:
+            return self
+        if not o.d:
+            return o
+        p = self.p
+        if len(o.d) == 1 or len(self.d) == 1:
+            # f times the single term b x^j: exponents move, nothing cancels
+            f, g = (self, o) if len(o.d) == 1 else (o, self)
+            ((j, b),) = g.d.items()
+            if j == 0 and b == 1:
+                return f
+            return Laurent._trusted(p, {i + j: a * b % p
+                                        for i, a in f.d.items()})
         d = {}
         for i, a in self.d.items():
             for j, b in o.d.items():
                 k = i + j
                 d[k] = d.get(k, 0) + a * b
-        return Laurent(self.p, d)
+        return Laurent(p, d)
 
     __rmul__ = __mul__
 
@@ -149,7 +185,7 @@ class Laurent:
 
     def shift(self, k: int):
         """Multiply by x^k."""
-        return Laurent(self.p, {i + k: v for i, v in self.d.items()})
+        return Laurent._trusted(self.p, {i + k: v for i, v in self.d.items()})
 
     def dilate(self, m: int, lam: int = 1):
         """Substitute x -> lam * x^m (m may be negative for x -> lam/x^|m|)."""

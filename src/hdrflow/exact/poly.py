@@ -1,6 +1,9 @@
 """Univariate polynomials and rational functions over F_p.
 
 Poly: immutable coefficient tuple, index = degree, no trailing zeros.
+Immutable by contract: there is one zero and one unit per prime
+(`Poly.zero`, `Poly.one`), and the arithmetic may return an operand itself
+when the other is zero or a unit factor, so no caller may rebind `.c`.
 RatFun: reduced num/den pair with monic denominator (canonical form, so
 equality is syntactic).  Sums and products keep that form by Henrici's
 method (Knuth, TAOCP vol. 2, 4.5.1): they take gcds of the factors only,
@@ -9,6 +12,10 @@ never of the full products.
 from __future__ import annotations
 
 from .rings import check_prime
+
+
+_ZERO: dict = {}  # prime -> the zero Poly
+_ONE: dict = {}   # prime -> the unit Poly
 
 
 class Poly:
@@ -36,11 +43,19 @@ class Poly:
 
     @classmethod
     def zero(cls, p):
-        return cls._trusted(p, [])
+        """The zero of F_p[x]: one shared instance per prime."""
+        z = _ZERO.get(p)
+        if z is None:
+            z = _ZERO[p] = cls._trusted(check_prime(p), [])
+        return z
 
     @classmethod
     def one(cls, p):
-        return cls(p, (1,))
+        """The unit of F_p[x]: one shared instance per prime."""
+        u = _ONE.get(p)
+        if u is None:
+            u = _ONE[p] = cls._trusted(check_prime(p), [1])
+        return u
 
     @classmethod
     def const(cls, p, a):
@@ -92,7 +107,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
+        if other.__class__ is Poly or isinstance(other, Poly):
             if other.p != self.p:
                 raise ValueError("mixed primes")
             return other
@@ -100,9 +115,21 @@ class Poly:
             return Poly._trusted(self.p, [other % self.p])
         return NotImplemented
 
+    def _scaled(self, a: int):
+        """self * a for a reduced scalar a != 0 (p is prime, so the
+        leading coefficient stays nonzero)."""
+        if a == 1 or not self.c:
+            return self
+        p = self.p
+        return Poly._trusted(p, [x * a % p for x in self.c])
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
+            return o
+        if not o.c:
+            return self
+        if not self.c:
             return o
         a, b, p = self.c, o.c, self.p
         if len(a) < len(b):
@@ -113,6 +140,8 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.c:
+            return self
         p = self.p
         return Poly._trusted(p, [-a % p for a in self.c])
 
@@ -120,6 +149,10 @@ class Poly:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if not o.c:
+            return self
+        if not self.c:
+            return -o
         a, b, p = self.c, o.c, self.p
         n = min(len(a), len(b))
         out = [(x - y) % p for x, y in zip(a, b)]
@@ -138,6 +171,10 @@ class Poly:
             return o
         if not self.c or not o.c:
             return Poly.zero(self.p)
+        if len(o.c) == 1:
+            return self._scaled(o.c[0])
+        if len(self.c) == 1:
+            return o._scaled(self.c[0])
         p = self.p
         out = [0] * (len(self.c) + len(o.c) - 1)
         for i, a in enumerate(self.c):
@@ -167,6 +204,8 @@ class Poly:
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
+        if len(o.c) == 1:
+            return self._scaled(pow(o.c[0], p - 2, p)), Poly.zero(p)
         rem = list(self.c)
         dq = len(rem) - len(o.c)
         if dq < 0:
@@ -192,8 +231,7 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        inv = pow(self.lc(), self.p - 2, self.p)
-        return Poly(self.p, [a * inv % self.p for a in self.c])
+        return self._scaled(pow(self.lc(), self.p - 2, self.p))
 
     def gcd(self, other):
         a, b = self, self._coerce(other)

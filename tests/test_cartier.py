@@ -163,6 +163,8 @@ def test_transform_preconditions():
     hb = higgs_bundle(P1Bundle.of_type(p, (0, 0)), D, diag)
     with pytest.raises(ValueError, match="not nilpotent"):
         inverse_cartier(hb)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        glue_change_of_lift(standard_lift(D, 0), standard_lift(D, 0), hb)
     big = higgs_bundle(P1Bundle.of_type(p, (0,) * 4), D,
                        [[zero] * 4 for _ in range(4)])
     with pytest.raises(ValueError, match="rank 4 exceeds"):

@@ -9,8 +9,8 @@ from hdrflow import cli, p1
 from hdrflow.exact import matrix, polymat
 from hdrflow.exact.laurent import Laurent
 from hdrflow.exact.poly import Poly
-from hdrflow.p1 import (P1Bundle, birkhoff_split, cech_h0, degree_and_slope,
-                        frobenius_pullback, global_sections,
+from hdrflow.p1 import (P1Bundle, SplittingType, birkhoff_split, cech_h0,
+                        degree_and_slope, frobenius_pullback, global_sections,
                         hn_filtration_plain, line_subbundle_degree,
                         max_subsheaf_degree, split_memo, sub_adapted,
                         subbundle_degree)
@@ -110,6 +110,29 @@ def test_frobenius_pullback():
         types, b = planted(rng, p, rng.randint(1, 3), -2, 2)
         tF, _, _ = birkhoff_split(frobenius_pullback(b))
         assert tuple(tF) == tuple(a * p for a in types)
+
+
+@pytest.mark.parametrize("p", (3, 5, 97))
+def test_twist_and_frobenius_shift_the_type(p):
+    """E(d) has type a_i + d, degree + r d and slope + d; F*(sum O(a_i))
+    has type p a_i, which `SplittingType.scaled(p)` predicts."""
+    rng = random.Random(f"twist:{p}")
+    for r in (1, 2, 3):
+        types, b = planted(rng, p, r)
+        t = birkhoff_split(b)[0]
+        deg, slope = degree_and_slope(b)
+        assert (t.degree, t.slope) == (deg, slope) == (sum(types),
+                                                       Fraction(sum(types), r))
+        for d in (-2, 1, 3):
+            td = birkhoff_split(b.twist(d))[0]
+            assert tuple(td) == tuple(a + d for a in types)
+            assert degree_and_slope(b.twist(d)) == (deg + r * d, slope + d)
+            assert (td.degree, td.slope) == (deg + r * d, slope + d)
+        # the twist scan walks the p-fold spread of F*: keep the spread <= 1
+        c = rng.randint(-2, 2)
+        small = SplittingType((c + 1,) + (c,) * (r - 1))
+        pulled = frobenius_pullback(P1Bundle.of_type(p, small.entries))
+        assert birkhoff_split(pulled)[0] == small.scaled(p)
 
 
 def test_hn_filtration_plain():

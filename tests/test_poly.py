@@ -1,12 +1,15 @@
 """F_p(x) substrate: every RatFun result is in canonical form and equals the
-reference that reduces the unreduced num/den by one full gcd; vanishing
-orders by synthetic division; the truncated gluing exponential."""
+reference that reduces the unreduced num/den by one full gcd; Poly and
+Laurent arithmetic, trivial operands included, equals plain list/dict
+references; vanishing orders by synthetic division; the truncated gluing
+exponential."""
 import random
 
 import pytest
 
 from hdrflow.cartier import _exp_nilpotent
 from hdrflow.exact import matrix
+from hdrflow.exact.laurent import Laurent
 from hdrflow.exact.poly import Poly, RatFun
 from hdrflow.exact.rmat import rmat_inverse
 
@@ -86,6 +89,166 @@ def test_ratfun_operations_are_canonical(p):
             assert_canonical(a ** e, n1 ** e, d1 ** e)
             if e and not a.is_zero():
                 assert_canonical(a ** -e, d1 ** e, n1 ** e)
+
+
+# -- Poly and Laurent against plain references ------------------------------
+
+def ref_poly(c, p):
+    """Coefficient list reduced mod p with trailing zeros stripped."""
+    c = [x % p for x in c]
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def ref_add(a, b, p):
+    n = max(len(a), len(b))
+    return ref_poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n)], p)
+
+
+def ref_mul(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_poly(out, p)
+
+
+def ref_divmod(a, b, p):
+    """Long division of reduced lists, b nonzero."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], p - 2, p)
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + len(b) - 1] * inv % p
+        quo[k] = q
+        for j, y in enumerate(b):
+            rem[k + j] = (rem[k + j] - q * y) % p
+    return ref_poly(quo, p), ref_poly(rem, p)
+
+
+def ref_laurent(d, p):
+    return {k: v % p for k, v in d.items() if v % p}
+
+
+def ref_ladd(a, b, p):
+    return ref_laurent({k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}}, p)
+
+
+def ref_lmul(a, b, p):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return ref_laurent(out, p)
+
+
+def poly_operands(rng, p):
+    """Zero, one, constants, monomials and general polynomials, plus ints."""
+    general = [Poly(p, [rng.randrange(p) for _ in range(n)]
+                    + [rng.randrange(1, p)]) for n in (1, 2, 4)]
+    return [Poly.zero(p), Poly.one(p), Poly.const(p, p - 1),
+            Poly.const(p, rng.randrange(2, p)), Poly(p, [0, 0, 0]),
+            Poly.x(p), Poly.monomial(p, 3, rng.randrange(2, p))] + general
+
+
+def laurent_operands(rng, p):
+    """Zero, one, constants, single terms at both signs of the exponent,
+    and general Laurent polynomials."""
+    general = [Laurent(p, {k: rng.randrange(p) for k in range(-3, 4)})
+               for _ in range(3)]
+    return [Laurent.zero(p), Laurent.one(p), Laurent.const(p, p - 1),
+            Laurent.monomial(p, -2), Laurent.monomial(p, 3, 2),
+            Laurent.monomial(p, -1, rng.randrange(2, p)),
+            Laurent(p, {0: p, 5: 0})] + general
+
+
+def assert_poly(f, c, p):
+    assert isinstance(f, Poly) and f.p == p and isinstance(f.c, tuple)
+    assert all(0 <= x < p for x in f.c) and (not f.c or f.c[-1])
+    assert list(f.c) == c
+
+
+def assert_laurent(f, d, p):
+    assert isinstance(f, Laurent) and f.p == p
+    assert all(0 < v < p for v in f.d.values())
+    assert f.d == d
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_poly_arithmetic_equals_the_list_reference(p):
+    rng = random.Random(f"poly:{p}")
+    ops = poly_operands(rng, p)
+    for f in ops:
+        a = list(f.c)
+        assert_poly(-f, ref_poly([-x for x in a], p), p)
+        for k in (0, 1, p - 1, p + 2):
+            assert_poly(f + k, ref_add(a, [k], p), p)
+            assert_poly(k + f, ref_add(a, [k], p), p)
+            assert_poly(f - k, ref_add(a, [-k], p), p)
+            assert_poly(k - f, ref_add([-x for x in a], [k], p), p)
+            assert_poly(f * k, ref_mul(a, [k], p), p)
+            assert_poly(k * f, ref_mul(a, [k], p), p)
+        for g in ops:
+            b = list(g.c)
+            assert_poly(f + g, ref_add(a, b, p), p)
+            assert_poly(f - g, ref_add(a, [-y for y in b], p), p)
+            assert_poly(f * g, ref_mul(a, b, p), p)
+            if not b:
+                for op in (divmod, lambda u, v: u // v, lambda u, v: u % v):
+                    with pytest.raises(ZeroDivisionError):
+                        op(f, g)
+                continue
+            q, r = ref_divmod(a, b, p)
+            got_q, got_r = divmod(f, g)
+            assert_poly(got_q, q, p)
+            assert_poly(got_r, r, p)
+            assert_poly(f // g, q, p)
+            assert_poly(f % g, r, p)
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, 0)
+    other = 5 if p == 3 else 3
+    for f in (Poly.zero(p), Poly.one(p), ops[-1]):
+        for g in (Poly.zero(other), Poly.one(other), Poly.x(other)):
+            for op in (lambda u, v: u + v, lambda u, v: u - v,
+                       lambda u, v: u * v, divmod):
+                with pytest.raises(ValueError, match="mixed primes"):
+                    op(f, g)
+    # the shared zero and unit come out of the run untouched
+    assert Poly.zero(p).c == () and Poly.one(p).c == (1,)
+    assert Poly.zero(p) is Poly.zero(p) and Poly.one(p) is Poly.one(p)
+
+
+@pytest.mark.parametrize("bad", (2, 4, 101))
+def test_shared_zero_and_one_still_refuse_a_bad_prime(bad):
+    for make in (Poly.zero, Poly.one):
+        with pytest.raises(ValueError, match="p must be"):
+            make(bad)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_laurent_arithmetic_equals_the_dict_reference(p):
+    rng = random.Random(f"laurent:{p}")
+    ops = laurent_operands(rng, p)
+    for f in ops:
+        a = dict(f.d)
+        assert_laurent(-f, ref_laurent({k: -v for k, v in a.items()}, p), p)
+        for k in (-3, 0, 2):
+            assert_laurent(f.shift(k), {i + k: v for i, v in a.items()}, p)
+        for g in ops:
+            b = dict(g.d)
+            neg_b = {k: -v for k, v in b.items()}
+            assert_laurent(f + g, ref_ladd(a, b, p), p)
+            assert_laurent(f - g, ref_ladd(a, neg_b, p), p)
+            assert_laurent(f * g, ref_lmul(a, b, p), p)
+        assert f.d == a  # no operation touched an operand
+    other = 5 if p == 3 else 3
+    for f in (Laurent.zero(p), Laurent.one(p), ops[-1]):
+        for g in (Laurent.zero(other), Laurent.monomial(other, -1)):
+            for op in (lambda u, v: u + v, lambda u, v: u - v,
+                       lambda u, v: u * v):
+                with pytest.raises(ValueError, match="mixed primes"):
+                    op(f, g)
 
 
 def order_by_division(f, c):
