@@ -7,8 +7,9 @@ with terms in descending degree and coefficients as least nonnegative
 residues, so the same configuration and seed give byte-identical output.
 
 Exit codes: 0 every contract passed, 2 a contract was violated (the report
-carries a witness), 3 a guard ran out before a decision, 4 malformed input
-(the report names the offending location).
+carries a witness), 3 a guard ran out before a decision or the rank >= 3
+semistability search found no destabilizer, 4 malformed input (the report
+names the offending location).
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ from .exact import matrix
 from .exact.poly import Poly, RatFun
 from .exact.rings import check_prime
 from .flow import detect_periodicity
-from .loghiggs import (INF, LogDivisor, SemistabilityVerdict,
-                       _graded_semistability, higgs_bundle, log_connection,
-                       nilpotency_level, residue, residue_trace_sum)
+from .loghiggs import (INF, LogDivisor, _graded_semistability, higgs_bundle,
+                       log_connection, nilpotency_level, residue,
+                       residue_trace_sum)
 from .monodromy import (NilpotentOperator, monodromy_filtration,
                         verify_filtration_axioms)
 from .nearby import local_higgs_module, phi_restrict, upsilon0, z_model_compatibility
@@ -409,55 +410,34 @@ def _cmd_residues(cfg: RunConfig) -> dict:
     return report
 
 
-def _stability_status(v) -> str:
-    """Uniform label for the two shapes a semistability answer can take:
-    an exact verdict (rank <= 2) or a candidate search (rank >= 3)."""
-    status = getattr(v, "status", None)
-    if status is not None:
-        return status
-    return "unstable" if v.destabilizer_found else "unknown"
+def _poly_strs(w):
+    """A witness section (a vector of polynomials) or sub-bundle basis (a
+    tuple of such vectors) as nested lists of printed polynomials."""
+    return poly_str(w) if isinstance(w, Poly) else [_poly_strs(e) for e in w]
 
 
 def _cmd_semistable(cfg: RunConfig) -> dict:
     doc = _load_doc(cfg)
     hb = _decode_higgs(doc, cfg)
-    v = _graded_semistability(hb, cfg.guard_enum)
-    if isinstance(v, SemistabilityVerdict):
-        report = {
-            "command": "semistable",
-            "status": "pass" if v.decided else "undecided",
-            "p": hb.p,
-            "verdict": v.status,
-            "slope": str(v.slope),
-            "detail": v.detail,
-        }
-        if v.witness_degree is not None:
-            report["witness_degree"] = v.witness_degree
-        if v.witness is not None:
-            report["witness"] = [poly_str(e) for e in v.witness]
-        return report
-    # rank >= 3: a found invariant destabilizer decides; otherwise the
-    # candidate families are not exhaustive and the run stays undecided
-    found = v.destabilizer_found
+    v = _graded_semistability(hb)
     report = {
         "command": "semistable",
-        "status": "pass" if found else "undecided",
+        "status": "pass" if v.decided else "undecided",
         "p": hb.p,
-        "verdict": "unstable" if found else "undecided",
+        "verdict": v.status,
         "slope": str(v.slope),
-        "detail": v.note,
-        "candidates": [{"rank": c.rank, "degree": c.degree,
-                        "slope": str(c.slope),
-                        "theta_invariant": c.theta_invariant,
-                        "destabilizing": c.destabilizing,
-                        "source": c.source} for c in v.candidates],
+        "detail": v.detail,
     }
-    if found:
-        first = next(c for c in v.candidates
-                     if c.destabilizing and c.theta_invariant)
-        report["witness_degree"] = first.degree
-        report["witness"] = [[poly_str(e) for e in col]
-                             for col in first.basis]
+    if v.candidates is not None:
+        report["candidates"] = [{"rank": c.rank, "degree": c.degree,
+                                 "slope": str(c.slope),
+                                 "theta_invariant": c.theta_invariant,
+                                 "destabilizing": c.destabilizing,
+                                 "source": c.source} for c in v.candidates]
+    if v.witness_degree is not None:
+        report["witness_degree"] = v.witness_degree
+    if v.witness is not None:
+        report["witness"] = _poly_strs(v.witness)
     return report
 
 
@@ -529,7 +509,10 @@ def _cmd_flow(cfg: RunConfig) -> dict:
                     "type": list(st.higgs_type),
                     "degree": degree_and_slope(st.higgs.bundle)[0],
                     "level": st.level,
-                    "semistability": _stability_status(st.semistability)}
+                    # "unknown": a rank >= 3 search that found no destabilizer
+                    "semistability": (st.semistability.status
+                                      if st.semistability.decided
+                                      else "unknown")}
                    for st in rep.states],
     }
     if rep.states:
@@ -711,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, default=None,
                         help="working prime (may also come from the input)")
         sp.add_argument("--guard-enum", type=int, default=200000,
-                        help="bound on enumeration searches")
+                        help="bound on the flow's isomorphism search")
         sp.add_argument("--guard-iter", type=int, default=10,
                         help="bound on iteration counts")
         sp.add_argument("--seed", type=int, default=0,

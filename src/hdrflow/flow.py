@@ -79,7 +79,7 @@ def _nabla_image(con: LogConnectionP1, cols):
     return out
 
 
-def _graded_of_flag(con: LogConnectionP1, flag, guard: int = 10 ** 6):
+def _graded_of_flag(con: LogConnectionP1, flag):
     """Graded Higgs bundle of a transversal filtration, presented as the
     increasing flag of proper saturated chart-0 steps.
 
@@ -133,7 +133,7 @@ def _graded_of_flag(con: LogConnectionP1, flag, guard: int = 10 ** 6):
     th = matrix.mul(rmat_inverse(w0), matrix.mul(th, w0))
     graded = higgs_bundle(P1Bundle.of_type(p, tuple(entries)),
                           con.divisor, th)
-    hs = HodgeSystem(graded, ranks, _graded_semistability(graded, guard))
+    hs = HodgeSystem(graded, ranks, _graded_semistability(graded))
     check_hodge_system(hs)
     return hs
 
@@ -191,7 +191,7 @@ class FlowState:
     higgs: LogHiggsBundleP1
     higgs_type: tuple
     level: int
-    semistability: object
+    semistability: SemistabilityVerdict
     simpson: SimpsonReport | None
     lifts: tuple
 
@@ -223,13 +223,12 @@ def _make_state(index, hb, lifts, level, simpson, semistability):
                      lifts)
 
 
-def flow_start(hb: LogHiggsBundleP1, lifts=None,
-               guard: int = 10 ** 6) -> FlowState:
+def flow_start(hb: LogHiggsBundleP1, lifts=None) -> FlowState:
     lifts = _resolve_lifts(hb.divisor, lifts)
     # a field the transform refuses is refused here, before any other work
     level = transform_level(hb)
     return _make_state(0, hb, lifts, level, None,
-                       _graded_semistability(hb, guard))
+                       _graded_semistability(hb))
 
 
 def flow_step(state: FlowState, lifts=None, guard: int = 50) -> FlowState:
@@ -252,7 +251,6 @@ def flow_step(state: FlowState, lifts=None, guard: int = 50) -> FlowState:
         raise AssertionError("degree scaling failed along the step")
     if nxt.rank != state.higgs.rank:
         raise AssertionError("rank changed along the step")
-    # the graded object's verdict was taken under the same 10^6 guard
     return _make_state(state.index + 1, nxt, state.lifts,
                        transform_level(nxt), rep, rep.graded.semistability)
 
@@ -386,7 +384,7 @@ def _unstable(state: FlowState) -> str | None:
     """Why the flow stops at this state: its semistability verdict is
     exactly "unstable" (the flow is defined on semistable objects)."""
     v = state.semistability
-    if isinstance(v, SemistabilityVerdict) and v.status == "unstable":
+    if v.status == "unstable":
         return (f"state {state.index} is unstable: a theta-invariant "
                 f"sub-bundle of degree {v.witness_degree} exceeds the "
                 f"slope {v.slope}")

@@ -10,10 +10,8 @@ F_p, with the sign fixed by Res_0(d + A dx/x) = A(0).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .exact import matrix, polymat
 from .exact.laurent import Laurent
@@ -23,8 +21,8 @@ from .exact.rmat import (rmat_clear_cols, rmat_clear_rows, rmat_deriv,
                          rmat_from_lmat, rmat_from_pmat, rmat_inverse,
                          rmat_subst_inv)
 from .p1 import (P1Bundle, degree_and_slope, birkhoff_split, global_sections,
-                 hn_filtration_plain, line_subbundle_degree,
-                 max_subsheaf_degree, sub_adapted, subbundle_degree)
+                 hn_filtration_plain, max_subsheaf_degree, sub_adapted,
+                 subbundle_degree)
 
 INF = "inf"
 
@@ -303,71 +301,43 @@ class SemistabilityVerdict:
     witness_degree: int | None = None
     witness: tuple | None = None
     detail: str = ""
+    candidates: tuple | None = None  # rank >= 3: the sub-bundles examined
 
     @property
     def decided(self) -> bool:
         return self.status != "undecided"
 
 
-def _projective_reps(p: int, k: int):
-    """Canonical representatives of P^(k-1)(F_p): first nonzero coordinate 1,
-    remaining coordinates in lexicographic order."""
-    for lead in range(k):
-        for tail in product(range(p), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
+def is_semistable_rank2(hb: LogHiggsBundleP1) -> SemistabilityVerdict:
+    """Exact slope semistability for rank 2.
 
-
-def is_semistable_rank2(hb: LogHiggsBundleP1,
-                        guard: int = 10 ** 6) -> SemistabilityVerdict:
-    """Exact slope semistability for rank 2, by enumerating theta-invariant
-    line sub-bundles of each degree above the slope.
-
-    Complete over F_p: a destabilizing theta-invariant line sub-bundle of
-    maximal degree is unique (two distinct lines of degree > slope would
-    inject their sum into E), hence Frobenius-invariant, hence defined over
-    the prime field, hence hit by the section search at its own degree.
+    Write E = O(a1) + O(a2) with a1 >= a2.  A line sub-bundle other than
+    the top summand maps nonzero to E/O(a1) = O(a2), so its degree is at
+    most a2, which is at most the slope.  E is therefore unstable exactly
+    when a1 > a2 and theta keeps the top summand; the witness is the
+    section spanning H^0(E(-a1)), which is that summand.
     """
     b = hb.bundle
     if b.rank != 2:
         raise ValueError("exact decision is implemented for rank 2 only")
-    p = b.p
-    deg, mu = degree_and_slope(b)
-    th = [list(row) for row in hb.theta0]
-    d_hi = max_subsheaf_degree(b, 1)
-    d_lo = math.floor(mu) + 1
-    for d in range(d_hi, d_lo - 1, -1):
-        secs = global_sections(b, -d)
-        k = len(secs)
-        if k == 0:
-            continue
-        count = (p ** k - 1) // (p - 1)
-        if count > guard:
+    _, mu = degree_and_slope(b)
+    top = max_subsheaf_degree(b, 1)
+    if top > mu:
+        (s,) = global_sections(b, -top)
+        ts = matrix.vec(hb.theta0, [RatFun(e) for e in s])
+        if RatFun(s[0]) * ts[1] == RatFun(s[1]) * ts[0]:
             return SemistabilityVerdict(
-                "undecided", mu, d, None,
-                f"enumeration at degree {d} needs {count} candidate "
-                f"sections, over the guard {guard}")
-        for coeffs in _projective_reps(p, k):
-            s = tuple(sum((c * sec[i] for c, sec in zip(coeffs, secs)),
-                          Poly.zero(p)) for i in range(2))
-            ts = matrix.vec(th, [RatFun(s[0]), RatFun(s[1])])
-            if RatFun(s[0]) * ts[1] != RatFun(s[1]) * ts[0]:
-                continue
-            g = s[0].gcd(s[1])
-            prim = tuple(e // g for e in s)
-            if line_subbundle_degree(b, prim) != d:
-                continue
-            return SemistabilityVerdict(
-                "unstable", mu, d, s,
+                "unstable", mu, top, s,
                 "theta-invariant line sub-bundle above the slope")
     return SemistabilityVerdict("semistable", mu)
 
 
-def _graded_semistability(hb: LogHiggsBundleP1, guard: int):
+def _graded_semistability(hb: LogHiggsBundleP1) -> SemistabilityVerdict:
     if hb.rank == 1:
         _, mu = degree_and_slope(hb.bundle)
         return SemistabilityVerdict("semistable", mu, detail="line bundle")
     if hb.rank == 2:
-        return is_semistable_rank2(hb, guard)
+        return is_semistable_rank2(hb)
     return invariant_flag_heuristic(hb)
 
 
@@ -384,19 +354,6 @@ class FlagCandidate:
     basis: tuple
 
 
-@dataclass(frozen=True)
-class FlagHeuristicReport:
-    slope: Fraction
-    candidates: tuple
-    complete: bool
-    note: str
-
-    @property
-    def destabilizer_found(self) -> bool:
-        return any(c.destabilizing and c.theta_invariant
-                   for c in self.candidates)
-
-
 def _theta_invariant(th, cols) -> bool:
     """Does theta map the span of the columns `cols` into itself?
 
@@ -409,13 +366,14 @@ def _theta_invariant(th, cols) -> bool:
     return polymat.submodule_contains(cols, [list(c) for c in zip(*cleared)])
 
 
-def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
+def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> SemistabilityVerdict:
     """Candidate destabilizing sub-bundles from kernel/image saturations of
     theta powers, their intersections, and the plain HN steps.
 
     This is NOT a decision procedure: proper theta-invariant sub-bundles
-    outside these families are not seen, which is why the report carries
-    complete=False.
+    outside these families are not seen.  The first invariant candidate
+    above the slope makes the verdict "unstable", with its degree and basis
+    as the witness; without one it stays "undecided".
     """
     b = hb.bundle
     r = b.rank
@@ -472,10 +430,14 @@ def invariant_flag_heuristic(hb: LogHiggsBundleP1) -> FlagHeuristicReport:
             destabilizing=musub > mu,
             source=seen[key],
             basis=tuple(tuple(c) for c in cols)))
-    return FlagHeuristicReport(
-        mu, tuple(out), complete=False,
-        note="kernel/image/HN candidates only; invariant sub-bundles "
-             "outside these families are not examined")
+    note = ("kernel/image/HN candidates only; invariant sub-bundles "
+            "outside these families are not examined")
+    for c in out:
+        if c.destabilizing and c.theta_invariant:
+            return SemistabilityVerdict("unstable", mu, c.degree, c.basis,
+                                        note, tuple(out))
+    return SemistabilityVerdict("undecided", mu, detail=note,
+                                candidates=tuple(out))
 
 
 # -- Griffiths-transverse grading --------------------------------------------
@@ -488,7 +450,7 @@ class HodgeSystem:
 
     higgs: LogHiggsBundleP1
     piece_ranks: tuple
-    semistability: object = field(compare=False)
+    semistability: SemistabilityVerdict = field(compare=False)
 
     @property
     def pieces(self) -> int:
@@ -541,8 +503,7 @@ def _block_of(cuts, i):
     raise IndexError(i)
 
 
-def griffiths_grading(hb: LogHiggsBundleP1,
-                      guard: int = 10 ** 6) -> HodgeSystem:
+def griffiths_grading(hb: LogHiggsBundleP1) -> HodgeSystem:
     """Associated graded of the saturated kernel flag of theta powers.
 
     The flag 0 c ker theta c ker theta^2 c ... is the canonical decreasing
@@ -586,7 +547,7 @@ def griffiths_grading(hb: LogHiggsBundleP1,
               else RatFun.zero(p) for j in range(r)] for i in range(r)]
     graded = higgs_bundle(P1Bundle.from_rows(p, Tgr), hb.divisor, th_gr)
     return HodgeSystem(graded, piece_ranks,
-                       _graded_semistability(graded, guard))
+                       _graded_semistability(graded))
 
 
 def check_hodge_system(hs: HodgeSystem) -> bool:
@@ -622,8 +583,7 @@ class SemipositivityReport:
     passed: bool
 
 
-def kernel_semipositivity_check(hb: LogHiggsBundleP1,
-                                guard: int = 10 ** 6) -> SemipositivityReport:
+def kernel_semipositivity_check(hb: LogHiggsBundleP1) -> SemipositivityReport:
     """For a semistable degree-0 logarithmic Higgs bundle: the saturation K
     of ker theta must have max_subsheaf_degree(K, s) <= 0 for every s.
 
@@ -638,7 +598,7 @@ def kernel_semipositivity_check(hb: LogHiggsBundleP1,
         raise ValueError("kernel semipositivity needs a degree-0 bundle")
     if hb.rank <= 2:
         if hb.rank == 2:
-            v = is_semistable_rank2(hb, guard)
+            v = is_semistable_rank2(hb)
             if v.status != "semistable":
                 raise ValueError(f"input is not certified semistable: "
                                  f"{v.status}")

@@ -306,6 +306,25 @@ def test_flow_stops_at_its_first_unstable_state(capsys):
     assert [s["semistability"] for s in rep["states"]] == ["unstable"]
 
 
+def test_rank3_flow_stops_at_a_found_destabilizer(capsys):
+    # at rank 3 the verdict comes from the candidate search, and a found
+    # invariant destabilizer (the HN line O(1)) stops the flow just as an
+    # exact rank-2 verdict does; a flow that ran on would take seconds for
+    # five steps and end undecided
+    doc = {"p": 3, "divisor": {"points": [0, 1, "inf"]},
+           "bundle": {"type": [1, 0, -1]},
+           "theta": [["0"] * 3 for _ in range(3)]}
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "flow", "--guard-iter", "5",
+                         "--input", json.dumps(doc))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and rep["verdict"] == "no period"
+    assert rep["reason"] == ("state 0 is unstable: a theta-invariant "
+                             "sub-bundle of degree 1 exceeds the slope 0")
+    assert rep["orbit"] == [[1, 0, -1]]
+    assert [s["semistability"] for s in rep["states"]] == ["unstable"]
+
+
 def test_flow_iteration_guard_is_undecided(capsys):
     # at p = 5 the first return happens after the preperiod, so a single
     # allowed step cannot close the orbit

@@ -1,4 +1,8 @@
+import math
 import random
+import time
+from fractions import Fraction
+from itertools import product
 
 from hdrflow.exact import matrix, polymat
 from hdrflow.exact.laurent import Laurent
@@ -7,13 +11,14 @@ from hdrflow.exact.poly import Poly, RatFun
 from hdrflow.exact import linalg
 from hdrflow.exact.rmat import (rmat_clear_cols, rmat_clear_rows,
                                 rmat_from_lmat, rmat_inverse)
-from hdrflow.loghiggs import (INF, LogDivisor, _theta_invariant,
-                              check_hodge_system,
+from hdrflow.loghiggs import (INF, LogDivisor, SemistabilityVerdict,
+                              _theta_invariant, check_hodge_system,
                               griffiths_grading, higgs_bundle,
                               invariant_flag_heuristic, is_semistable_rank2,
                               kernel_semipositivity_check, log_connection,
                               nilpotency_level, residue, residue_trace_sum)
-from hdrflow.p1 import P1Bundle, degree_and_slope
+from hdrflow.p1 import (P1Bundle, degree_and_slope, global_sections,
+                        line_subbundle_degree, max_subsheaf_degree)
 
 from test_p1 import planted, random_frame
 
@@ -290,14 +295,83 @@ def test_semistable_plain_matches_splitting_type():
             assert v.witness_degree == types[0]
 
 
-def test_semistable_guard_is_explicit():
-    p = 5
-    D = LogDivisor(p, (0, INF))
-    hb = higgs_bundle(P1Bundle.of_type(p, (1, -1)), D,
-                      [[RatFun.zero(p)] * 2] * 2)
-    v = is_semistable_rank2(hb, guard=0)
-    assert v.status == "undecided" and not v.decided
-    assert "guard" in v.detail and v.witness_degree == 1
+def test_semistable_decides_where_the_enumeration_was_refused():
+    # at degree 1 the section space of E(-1) = O(3) + O(-5) has dimension 4,
+    # so the projective enumeration needed 97^3 + 97^2 + 97 + 1 = 922180
+    # candidates there; the nonzero lower-left entry moves O(4) off itself
+    p = 97
+    D = LogDivisor(p, tuple(range(10)) + (INF,))
+    th = [[RatFun.zero(p), RatFun.zero(p)],
+          [RatFun(Poly(p, (3, 1)), D.boundary_poly()), RatFun.zero(p)]]
+    hb = higgs_bundle(P1Bundle.of_type(p, (4, -4)), D, th)
+    start = time.perf_counter()
+    v = is_semistable_rank2(hb)
+    assert time.perf_counter() - start < 1
+    assert v == SemistabilityVerdict("semistable", Fraction(0))
+
+
+def enumerated_verdict(hb):
+    """The projective enumeration the top-summand rule replaced, kept as
+    its reference.  For d from the top splitting index down to just above
+    the slope it tries every point of P(H^0(E(-d))) in the canonical order
+    of P^(k-1)(F_p) (first nonzero coordinate 1, the rest lexicographic)
+    and returns the first theta-invariant section whose line has degree d."""
+    b = hb.bundle
+    p = b.p
+    _, mu = degree_and_slope(b)
+    th = [list(row) for row in hb.theta0]
+    for d in range(max_subsheaf_degree(b, 1), math.floor(mu), -1):
+        secs = global_sections(b, -d)
+        k = len(secs)
+        for lead in range(k):
+            for tail in product(range(p), repeat=k - lead - 1):
+                coeffs = (0,) * lead + (1,) + tail
+                s = tuple(sum((c * sec[i] for c, sec in zip(coeffs, secs)),
+                              Poly.zero(p)) for i in range(2))
+                ts = matrix.vec(th, [RatFun(e) for e in s])
+                if RatFun(s[0]) * ts[1] != RatFun(s[1]) * ts[0]:
+                    continue
+                g = s[0].gcd(s[1])
+                if line_subbundle_degree(b, tuple(e // g for e in s)) == d:
+                    return SemistabilityVerdict(
+                        "unstable", mu, d, s,
+                        "theta-invariant line sub-bundle above the slope")
+    return SemistabilityVerdict("semistable", mu)
+
+
+def shaped_rank2_field(rng, p, types, div, shape):
+    """A field of the given shape on the split bundle of type `types`."""
+    (a, b), (c, d) = random_split_higgs(rng, p, types, div).theta0
+    z = RatFun.zero(p)
+    rows = {"general": [[a, b], [c, d]],
+            "upper": [[a, b], [z, d]],
+            "lower": [[a, z], [c, d]],
+            "diagonal": [[a, z], [z, d]],
+            "scalar": [[a, z], [z, a]],
+            "zero": [[z, z], [z, z]],
+            "equal diagonal": [[a, b], [c, a]]}[shape]
+    return higgs_bundle(P1Bundle.of_type(p, types), div, rows)
+
+
+def test_rank2_verdicts_match_the_enumeration():
+    rng = random.Random(2611)
+    shapes = ("general", "upper", "lower", "diagonal", "scalar", "zero",
+              "equal diagonal")
+    seen = set()
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(40):
+            shape = rng.choice(shapes)
+            types = sorted((rng.randint(-2, 2) for _ in range(2)),
+                           reverse=True)
+            hb = shaped_rank2_field(rng, p, types, random_divisor(rng, p),
+                                    shape)
+            if rng.random() < 0.75:
+                hb, _ = conjugated(rng, hb)
+            v = is_semistable_rank2(hb)
+            assert v == enumerated_verdict(hb), (p, shape, types)
+            seen.add((shape, v.status))
+    assert {s for s, status in seen if status == "unstable"} == set(shapes)
+    assert {s for s, status in seen if status == "semistable"} == set(shapes)
 
 
 def test_flag_heuristic_theta_zero_gives_hn_steps():
@@ -305,28 +379,28 @@ def test_flag_heuristic_theta_zero_gives_hn_steps():
     b = P1Bundle.of_type(p, (1, 0, -1))
     hb = higgs_bundle(b, LogDivisor(p, (0, INF)),
                       [[RatFun.zero(p)] * 3] * 3)
-    rep = invariant_flag_heuristic(hb)
-    assert not rep.complete and "not" in rep.note
-    got = {(c.source, c.rank, c.degree) for c in rep.candidates}
+    v = invariant_flag_heuristic(hb)
+    assert "not" in v.detail
+    got = {(c.source, c.rank, c.degree) for c in v.candidates}
     assert got == {("hn step 1", 1, 1), ("hn step 2", 2, 1)}
-    assert rep.destabilizer_found
+    assert v.status == "unstable" and v.witness_degree == 1
 
 
 def test_flag_heuristic_jordan_kernel_flag():
     p = 5
     b = P1Bundle.of_type(p, (0, 0, 0))
     J = over_x(p, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    rep = invariant_flag_heuristic(higgs_bundle(b, LogDivisor(p, (0, INF)),
-                                                J))
+    v = invariant_flag_heuristic(higgs_bundle(b, LogDivisor(p, (0, INF)),
+                                              J))
     # the kernel flag 0 c ker theta c ker theta^2 c E survives, with the
     # coinciding image sub-modules (im theta = ker theta^2, im theta^2 =
     # ker theta) deduplicated under whichever label came first
-    assert sorted(c.rank for c in rep.candidates) == [1, 2]
-    by_rank = {c.rank: c for c in rep.candidates}
+    assert sorted(c.rank for c in v.candidates) == [1, 2]
+    by_rank = {c.rank: c for c in v.candidates}
     assert by_rank[1].source == "ker theta^1"
     assert by_rank[2].source in ("ker theta^2", "im theta^1")
-    assert all(c.theta_invariant for c in rep.candidates)
-    assert not rep.destabilizer_found
+    assert all(c.theta_invariant for c in v.candidates)
+    assert v.status == "undecided" and v.witness is None
 
 
 def test_flag_heuristic_block_diagonal():
