@@ -23,20 +23,16 @@ from itertools import product
 
 from .cartier import canonical_lift, inverse_cartier, transform_level
 from .exact import matrix, polymat
-from .exact.laurent import Laurent
 from .exact.linalg import det as fp_det
 from .exact.linalg import kernel_basis
 from .exact.linalg import rank as fp_rank
-from .exact.lmat import lmat_from_xpoly, lmat_from_ypoly
-from .exact.poly import Poly, RatFun
-from .exact.rmat import (rmat_deriv, rmat_from_lmat, rmat_from_pmat,
-                         rmat_inverse)
+from .exact.poly import RatFun
+from .exact.rmat import rmat_from_lmat, rmat_inverse
 from .loghiggs import (HodgeSystem, LogConnectionP1, LogHiggsBundleP1,
-                       SemistabilityVerdict, _block_of, _flag_frames,
-                       _graded_semistability, check_hodge_system,
-                       higgs_bundle, residue)
-from .p1 import (P1Bundle, birkhoff_split, degree_and_slope,
-                 hn_filtration_plain, subbundle_degree)
+                       SemistabilityVerdict, _graded_semistability,
+                       graded_of_flag, residue)
+from .p1 import (birkhoff_split, degree_and_slope, hn_filtration_plain,
+                 subbundle_degree)
 
 
 # -- Simpson filtration ---------------------------------------------------------
@@ -60,6 +56,15 @@ class SimpsonReport:
     certified: bool          # exact semistability decision available
 
 
+def _cleared(bnd: RatFun, f: RatFun, what: str):
+    """b*f for b the boundary polynomial, which a log pole leaves
+    polynomial; anything else is a fault in the caller's construction."""
+    g = bnd * f
+    if not g.den.is_one():
+        raise AssertionError(what)
+    return g.num
+
+
 def _nabla_image(con: LogConnectionP1, cols):
     """b*(s' + A0 s) for chart-0 polynomial columns s, b the boundary
     polynomial; the log condition makes every entry polynomial again."""
@@ -68,74 +73,10 @@ def _nabla_image(con: LogConnectionP1, cols):
     out = []
     for s in cols:
         w = matrix.vec(a0, [RatFun(e) for e in s])
-        img = []
-        for e, we in zip(s, w):
-            f = bnd * (RatFun(e.deriv()) + we)
-            if not f.den.is_one():
-                raise AssertionError("cleared connection image is not "
-                                     "polynomial")
-            img.append(f.num)
-        out.append(img)
+        out.append([_cleared(bnd, RatFun(e.deriv()) + we,
+                             "cleared connection image is not polynomial")
+                    for e, we in zip(s, w)])
     return out
-
-
-def _graded_of_flag(con: LogConnectionP1, flag):
-    """Graded Higgs bundle of a transversal filtration, presented as the
-    increasing flag of proper saturated chart-0 steps.
-
-    Block order is reversed at the end so the graded field lowers the piece
-    index by one, matching the Hodge-system convention.
-    """
-    b = con.bundle
-    p, r = b.p, b.rank
-    cuts = [0] + [len(F) for F in flag] + [r]
-    B0, B1y = _flag_frames(b, [[tuple(c) for c in F] for F in flag])
-    B1inv = lmat_from_ypoly(polymat.pmat_inverse([list(rw) for rw in B1y]))
-    Tt = matrix.mul(B1inv, matrix.mul(b.matrix(), lmat_from_xpoly(B0)))
-    B0r = rmat_from_pmat(B0)
-    a_ad = matrix.mul(rmat_inverse(B0r),
-                      matrix.add(matrix.mul([list(rw) for rw in con.a0], B0r),
-                                 rmat_deriv(B0r)))
-    for i in range(r):
-        for j in range(r):
-            bi, bj = _block_of(cuts, i), _block_of(cuts, j)
-            if bi > bj and not Tt[i][j].is_zero():
-                raise AssertionError("flag frames are not adapted")
-            if bi > bj + 1 and not a_ad[i][j].is_zero():
-                raise AssertionError("adapted connection violates "
-                                     "transversality")
-    perm = [i for k in range(len(cuts) - 1, 0, -1)
-            for i in range(cuts[k - 1], cuts[k])]
-    Tgr = [[Tt[pi][pj] if _block_of(cuts, pi) == _block_of(cuts, pj)
-            else Laurent.zero(p) for pj in perm] for pi in perm]
-    th = [[a_ad[pi][pj]
-           if _block_of(cuts, pi) == _block_of(cuts, pj) + 1
-           else RatFun.zero(p) for pj in perm] for pi in perm]
-    ranks = tuple(cuts[k + 1] - cuts[k]
-                  for k in range(len(cuts) - 2, -1, -1))
-    # renormalize every block to its diagonal presentation: a block-diagonal
-    # frame change keeps the piece structure, and without it the matrix
-    # degrees carried along a flow would be multiplied by p at each step
-    rcuts = [0]
-    for rk in ranks:
-        rcuts.append(rcuts[-1] + rk)
-    entries = []
-    wrows = [[Poly.zero(p)] * r for _ in range(r)]
-    for k in range(len(rcuts) - 1):
-        rng = range(rcuts[k], rcuts[k + 1])
-        blk = [[Tgr[i][j] for j in rng] for i in rng]
-        tk, _, Vk = birkhoff_split(P1Bundle.from_rows(p, blk))
-        entries.extend(tk.entries)
-        for bi, i in enumerate(rng):
-            for bj, j in enumerate(rng):
-                wrows[i][j] = Vk[bi][bj].to_poly_x()
-    w0 = rmat_from_pmat(wrows)
-    th = matrix.mul(rmat_inverse(w0), matrix.mul(th, w0))
-    graded = higgs_bundle(P1Bundle.of_type(p, tuple(entries)),
-                          con.divisor, th)
-    hs = HodgeSystem(graded, ranks, _graded_semistability(graded))
-    check_hodge_system(hs)
-    return hs
 
 
 def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
@@ -179,7 +120,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
                   for F in reversed(flag))
     if not stable:
         return SimpsonReport("unresolved", steps, None, its, False)
-    hs = _graded_of_flag(con, flag)
+    hs = graded_of_flag(con, flag)
     return SimpsonReport("ok", steps, hs, its, r <= 2)
 
 
@@ -300,14 +241,8 @@ def higgs_isomorphic(h1: LogHiggsBundleP1, h2: LogHiggsBundleP1,
     for src, dst in ((_split_frame_field(h1, V1), P1m),
                      (_split_frame_field(h2, V2), P2m)):
         for row in src:
-            got = []
-            for e in row:
-                f = bnd * e
-                if not f.den.is_one():
-                    raise AssertionError("split-frame field has a pole off "
-                                         "the divisor")
-                got.append(f.num)
-            dst.append(got)
+            dst.append([_cleared(bnd, e, "split-frame field has a pole off "
+                                         "the divisor") for e in row])
     if P1m == P2m:
         return True  # the identity intertwines
     # unknown coefficients of g: entry (i, j) has degree <= a_i - a_j

@@ -452,10 +452,6 @@ class HodgeSystem:
     piece_ranks: tuple
     semistability: SemistabilityVerdict = field(compare=False)
 
-    @property
-    def pieces(self) -> int:
-        return len(self.piece_ranks)
-
 
 def _pblockdiag(p, A, B):
     n = len(A)
@@ -503,19 +499,78 @@ def _block_of(cuts, i):
     raise IndexError(i)
 
 
+def graded_of_flag(obj, flag) -> HodgeSystem:
+    """Graded Higgs bundle of a filtration of a Higgs bundle or a
+    connection, given as the increasing flag of proper saturated chart-0
+    steps.
+
+    A Higgs field must move block j only into the blocks below it, and the
+    graded field keeps the band one block down.  A connection may move
+    block j at most one block up (Griffiths transversality); the graded
+    field keeps the band one block up, and the blocks are listed in reverse
+    so that it too lowers the piece index by one.
+    """
+    b = obj.bundle
+    p, r = b.p, b.rank
+    flat = isinstance(obj, LogConnectionP1)
+    offset = 1 if flat else -1
+    cuts = [0] + [len(F) for F in flag] + [r]
+    blk = [_block_of(cuts, i) for i in range(r)]
+    B0, B1y = _flag_frames(b, flag)
+    B1inv = lmat_from_ypoly(polymat.pmat_inverse(B1y))
+    Tt = matrix.mul(B1inv, matrix.mul(b.matrix(), lmat_from_xpoly(B0)))
+    B0r = rmat_from_pmat(B0)
+    gauged = matrix.mul([list(row) for row in _chart_matrices(obj)[0]], B0r)
+    if flat:
+        gauged = matrix.add(gauged, rmat_deriv(B0r))
+    f_ad = matrix.mul(rmat_inverse(B0r), gauged)
+    for i in range(r):
+        for j in range(r):
+            if blk[i] > blk[j] and not Tt[i][j].is_zero():
+                raise AssertionError("flag frames are not adapted")
+            if blk[i] - blk[j] > offset and not f_ad[i][j].is_zero():
+                raise AssertionError(
+                    "adapted connection violates transversality" if flat
+                    else "flag is not theta-stable")
+    order = range(len(cuts) - 2, -1, -1) if flat else range(len(cuts) - 1)
+    perm = [i for k in order for i in range(cuts[k], cuts[k + 1])]
+    th = [[f_ad[i][j] if blk[i] - blk[j] == offset else RatFun.zero(p)
+           for j in perm] for i in perm]
+    # renormalize every block to its split presentation: a block-diagonal
+    # frame change keeps the piece structure, and without it the matrix
+    # degrees carried along a flow would be multiplied by p at each step
+    entries = []
+    w = [[Poly.zero(p)] * r for _ in range(r)]
+    at = 0
+    for k in order:
+        rng = range(cuts[k], cuts[k + 1])
+        tk, _, Vk = birkhoff_split(
+            P1Bundle.from_rows(p, [[Tt[i][j] for j in rng] for i in rng]))
+        entries.extend(tk.entries)
+        for a in range(len(rng)):
+            for c in range(len(rng)):
+                w[at + a][at + c] = Vk[a][c].to_poly_x()
+        at += len(rng)
+    w0 = rmat_from_pmat(w)
+    th = matrix.mul(rmat_inverse(w0), matrix.mul(th, w0))
+    graded = higgs_bundle(P1Bundle.of_type(p, tuple(entries)), obj.divisor,
+                          th)
+    hs = HodgeSystem(graded, tuple(cuts[k + 1] - cuts[k] for k in order),
+                     _graded_semistability(graded))
+    check_hodge_system(hs)
+    return hs
+
+
 def griffiths_grading(hb: LogHiggsBundleP1) -> HodgeSystem:
     """Associated graded of the saturated kernel flag of theta powers.
 
     The flag 0 c ker theta c ker theta^2 c ... is the canonical decreasing
-    (after relabelling) filtration with theta(step j+1) inside step j; the
-    graded transition keeps the diagonal blocks of the adapted frame, the
-    graded field the blocks one below the flag cut.
+    (after relabelling) filtration with theta(step j+1) inside step j.
     """
-    b = hb.bundle
-    p, r = b.p, b.rank
+    r = hb.rank
     th = [list(row) for row in hb.theta0]
     flag = []
-    power = [list(row) for row in hb.theta0]
+    power = th
     prev = 0
     while True:
         K = polymat.kernel_saturated(rmat_clear_rows(power))
@@ -526,28 +581,7 @@ def griffiths_grading(hb: LogHiggsBundleP1) -> HodgeSystem:
         flag.append(K)
         prev = len(K)
         power = matrix.mul(th, power)
-    cuts = [0] + [len(K) for K in flag] + [r]
-    piece_ranks = tuple(cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1))
-
-    B0, B1y = _flag_frames(b, flag)
-    B1inv = lmat_from_ypoly(polymat.pmat_inverse(B1y))
-    Tt = matrix.mul(B1inv, matrix.mul(b.matrix(), lmat_from_xpoly(B0)))
-    B0r = rmat_from_pmat(B0)
-    th_ad = matrix.mul(rmat_inverse(B0r), matrix.mul(th, B0r))
-    for i in range(r):
-        for j in range(r):
-            bi, bj = _block_of(cuts, i), _block_of(cuts, j)
-            if bi > bj and not Tt[i][j].is_zero():
-                raise AssertionError("flag frames are not adapted")
-            if bi >= bj and not th_ad[i][j].is_zero():
-                raise AssertionError("kernel flag is not theta-stable")
-    Tgr = [[Tt[i][j] if _block_of(cuts, i) == _block_of(cuts, j)
-            else Laurent.zero(p) for j in range(r)] for i in range(r)]
-    th_gr = [[th_ad[i][j] if _block_of(cuts, i) == _block_of(cuts, j) - 1
-              else RatFun.zero(p) for j in range(r)] for i in range(r)]
-    graded = higgs_bundle(P1Bundle.from_rows(p, Tgr), hb.divisor, th_gr)
-    return HodgeSystem(graded, piece_ranks,
-                       _graded_semistability(graded))
+    return graded_of_flag(hb, flag)
 
 
 def check_hodge_system(hs: HodgeSystem) -> bool:

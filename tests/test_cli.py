@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from hdrflow import chern
 from hdrflow.exact import polymat
-from hdrflow.cli import main
+from hdrflow.cli import RunConfig, main, render, run
 from hdrflow.serialize import (MAX_EXPONENT, ParseError, parse_laurent,
                                parse_poly)
 
@@ -855,3 +856,76 @@ def test_local_work_is_frozen(capsys, monkeypatch, command, doc, bound):
     assert code == 0 and rep["status"] == "pass"
     assert not {"saturate", "complete_unimodular"} & set(callers)
     assert len(eliminations) <= bound
+
+
+# -- robustness -------------------------------------------------------------------
+
+MUTATION_BASES = {
+    "discriminants": {"rank": 2, "truncation": 2, "generators": [["h", 1]],
+                      "classes": ["h", "h^2"]},
+    "monodromy": {"p": 3, "matrix": [["0", "y"], ["0", "0"]]},
+    "split": {"p": 3, "rows": [["x + x^-1", "x^-1"], ["1", "1"]]},
+    "residues": {"kind": "connection", "p": 3,
+                 "divisor": {"points": [0, "inf"]},
+                 "bundle": {"rows": [["x", "0"], ["0", "x^-1"]]},
+                 "a0": [["0", "0"], ["(1)/(x)", "0"]]},
+    "semistable": UNI3,
+    "cartier": UNI3,
+    "flow": UNI5,
+    "nearby-check": {"p": 5, "y_log": True,
+                     "theta_x": [["0", "1"], ["0", "0"]],
+                     "theta_y": [["0", "y"], ["0", "0"]]},
+}
+
+MALFORMED = ("1/", "(x", "x^", "1/0", "x^-1/x", "", "y^2", "2/(x-x)", "abc",
+             "x^99999999999", "1//x", "-", "x^1.5", "((1)/(x))/(0)", "inf")
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _paths(v, path + (i,))
+
+
+def _mutated(rng, doc):
+    """One seeded edit at a random place of a copy of `doc`: a malformed
+    rational, an int of +-10^30, a wrong shape, or a deleted key or entry."""
+    doc = json.loads(json.dumps(doc))
+    *head, key = rng.choice(list(_paths(doc))[1:])
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    node = parent[key]
+    kind = rng.choice(("rational", "huge", "shape", "delete"))
+    if kind == "rational":
+        parent[key] = rng.choice(MALFORMED)
+    elif kind == "huge":
+        parent[key] = rng.choice((10 ** 30, -10 ** 30))
+    elif kind == "shape":
+        parent[key] = rng.choice((node[:-1] if isinstance(node, list)
+                                  else [node], [node], [[]], {}, None, 1.5,
+                                  True))
+    else:
+        del parent[key]
+    return doc
+
+
+def test_mutated_documents_end_in_a_documented_exit():
+    """200 seeded mutations of small documents of every command that reads
+    one: each ends in a report with exit 0, 2, 3 or 4, never a traceback,
+    and all of them together take well under a second."""
+    rng = random.Random(2712)
+    start = time.perf_counter()
+    for command in sorted(MUTATION_BASES) * 25:
+        src = json.dumps(_mutated(rng, MUTATION_BASES[command]))
+        print(command, src)  # shown by pytest when a run fails
+        report, code = run(RunConfig(command=command, source=src, p=None,
+                                     guard_enum=200000, guard_iter=10,
+                                     seed=0, fmt="json"))
+        render(report, "json")
+        assert code in (0, 2, 3, 4)
+    assert time.perf_counter() - start < 1.0

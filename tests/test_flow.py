@@ -392,8 +392,11 @@ def test_flow_work_is_frozen(monkeypatch):
 
     monkeypatch.setattr(flow, "inverse_cartier",
                         counted("inverse_cartier", transform))
-    monkeypatch.setattr(flow, "_graded_semistability",
-                        counted("verdict", verdict))
+    # the start verdict is taken in the flow, every stepped one where the
+    # grading is built
+    for module in (flow, loghiggs):
+        monkeypatch.setattr(module, "_graded_semistability",
+                            counted("verdict", verdict))
     monkeypatch.setattr(loghiggs, "invariant_flag_heuristic",
                         counted("heuristic", heuristic))
     monkeypatch.setattr(loghiggs, "sub_adapted", counted_adapt)

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from hdrflow.exact import matrix, polymat
 from hdrflow.exact.laurent import Laurent
 from hdrflow.exact.lmat import lmat_to_xpoly
@@ -13,12 +15,13 @@ from hdrflow.exact.rmat import (rmat_clear_cols, rmat_clear_rows,
                                 rmat_from_lmat, rmat_inverse)
 from hdrflow.loghiggs import (INF, LogDivisor, SemistabilityVerdict,
                               _theta_invariant, check_hodge_system,
-                              griffiths_grading, higgs_bundle,
+                              graded_of_flag, griffiths_grading, higgs_bundle,
                               invariant_flag_heuristic, is_semistable_rank2,
                               kernel_semipositivity_check, log_connection,
                               nilpotency_level, residue, residue_trace_sum)
 from hdrflow.p1 import (P1Bundle, degree_and_slope, global_sections,
-                        line_subbundle_degree, max_subsheaf_degree)
+                        hn_filtration_plain, line_subbundle_degree,
+                        max_subsheaf_degree)
 
 from test_p1 import planted, random_frame
 
@@ -509,9 +512,36 @@ def test_griffiths_grading_random_properties():
             assert degree_and_slope(hs.higgs.bundle) == \
                 degree_and_slope(obj.bundle)
             assert griffiths_grading(hs.higgs).piece_ranks == hs.piece_ranks
+            # every block is renormalized to its split presentation
+            t = hs.higgs.bundle.t
+            assert hs.higgs.bundle == P1Bundle.of_type(
+                p, [-t[i][i].min_exp() for i in range(r)])
         # the flag is intrinsic, so the piece ranks agree across frames
         assert griffiths_grading(hb).piece_ranks == \
             griffiths_grading(hb2).piece_ranks
+
+
+def test_graded_of_flag_refuses_a_flag_theta_does_not_lower():
+    # N e2 = e1 leaves span(e2), so theta moves the first block up
+    p = 5
+    hb = higgs_bundle(P1Bundle.of_type(p, (0, 0)), LogDivisor(p, (0, INF)),
+                      over_x(p, [[0, 1], [0, 0]]))
+    with pytest.raises(AssertionError, match="theta-stable"):
+        graded_of_flag(hb, [[[Poly.zero(p), Poly.one(p)]]])
+
+
+def test_graded_of_flag_refuses_an_untransversal_flag():
+    # nabla maps the top HN step two steps down: the HN flag itself is not
+    # Griffiths transverse, and grading it must fail loudly
+    p = 3
+    div = LogDivisor(p, (0, 1, 2, INF))
+    con = log_connection(P1Bundle.of_type(p, (1, 0, -1)), div,
+                         [[0, 0, 0], [0, 0, 0],
+                          [RatFun(Poly.one(p), div.boundary_poly()), 0, 0]])
+    flag = [polymat.saturate(matrix.from_columns(step.basis))
+            for step in hn_filtration_plain(con.bundle).steps[:-1]]
+    with pytest.raises(AssertionError, match="transversality"):
+        graded_of_flag(con, flag)
 
 
 def test_grading_matches_weight_filtration_bookkeeping():
