@@ -104,7 +104,7 @@ def simpson_filtration(con: LogConnectionP1, guard: int = 50) -> SimpsonReport:
                 _nabla_image(con, flag[-1])
             stable = True
             break
-        img = _nabla_image(con, flag[viol])
+        # img is the scan's image of flag[viol]
         gens = [list(c) for c in flag[viol + 1]] + [list(v) for v in img]
         flag[viol + 1] = polymat.saturate(matrix.from_columns(gens))
         for k in range(viol + 2, len(flag)):

@@ -7,10 +7,12 @@ on every benchmark ring from Newton's identities and the defining series of
 log(1 + u), and `_dict_mul` checks the dense product against a product of
 {monomial: coefficient} dicts.
 """
+import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,6 +20,8 @@ from hdrflow.chern import (MAX_RING_SIZE, ChernData, GradedRing, RingTooLarge,
                            binomial_chern, check_equivalence, chern_character,
                            direct_sum_discriminant_residual,
                            higher_discriminants, twist, whitney_sum)
+from hdrflow.cli import RunConfig, run
+from hdrflow.serialize import qpoly_str
 
 BENCH_WEIGHTS = [(1,), (1, 1), (1, 2), (1, 3), (1, 2, 2), (1, 2, 3)]
 
@@ -236,13 +240,13 @@ def _ring(weights, n):
     return GradedRing([(f"g{i}", w) for i, w in enumerate(weights)], n)
 
 
-def _random_class(rng, ring, degrees):
+def _random_class(rng, ring, degrees, dens=(1, 2, 3, 4)):
     """A class with random rational coefficients on about half of the
-    monomials of the given degrees."""
+    monomials of the given degrees, with denominators drawn from dens."""
     terms = {}
     for mono in product(*(range(ring.truncation + 1) for _ in ring.degrees)):
         if ring.weight(mono) in degrees and rng.random() < 0.5:
-            terms[mono] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            terms[mono] = Fraction(rng.randint(-5, 5), rng.choice(dens))
     return ring.from_terms(terms)
 
 
@@ -256,9 +260,9 @@ def _dict_mul(ring, a, b):
     return {m: c for m, c in out.items() if c}
 
 
-def oracle_deltas(d):
-    """Delta_1..Delta_n with ch from Newton's identities and log(1 + u) from
-    its series sum (-1)^(k+1) u^k / k, in plain GradedClass arithmetic."""
+def oracle_ch(d):
+    """ch from Newton's identities for the power sums p_k = k! ch_k, in plain
+    GradedClass (Fraction) arithmetic."""
     ring, r, n = d.ring, d.rank, d.ring.truncation
     ch, pows = ring.const(r), [None]
     for k in range(1, n + 1):
@@ -267,7 +271,14 @@ def oracle_deltas(d):
             pk = pk + ring.const((-1) ** (j + 1)) * d.c(j) * pows[k - j]
         pows.append(pk)
         ch = ch + ring.const(Fraction(1, factorial(k))) * pk
-    u = ring.const(Fraction(1, r)) * ch - 1
+    return ch
+
+
+def oracle_deltas(d):
+    """Delta_1..Delta_n with ch from `oracle_ch` and log(1 + u) from its
+    series sum (-1)^(k+1) u^k / k, in plain GradedClass arithmetic."""
+    ring, r, n = d.ring, d.rank, d.ring.truncation
+    u = ring.const(Fraction(1, r)) * oracle_ch(d) - 1
     log = sum((ring.const(Fraction((-1) ** (k + 1), k)) * u ** k
                for k in range(1, n + 1)), ring.zero())
     return [ring.const((-1) ** (i + 1) * factorial(i) * r ** i)
@@ -297,6 +308,95 @@ def test_discriminants_match_series_oracle(weights):
             want = oracle_deltas(d)
             assert higher_discriminants(d) == want
             assert list(check_equivalence(d).deltas) == want
+
+
+# denominators that share no factor with the small ones or with each other,
+# near 10^6 and 10^30: the integral scaling must carry them exactly
+BIG_PRIMES = (10 ** 6 + 3, 10 ** 6 + 33, 10 ** 30 + 57, 10 ** 30 + 99)
+MIXED_DENS = (1, 1, 2, 3, 4, 9, *BIG_PRIMES)
+
+
+@pytest.mark.parametrize("weights", BENCH_WEIGHTS)
+def test_integer_log_path_matches_oracle_on_mixed_denominators(weights):
+    rng = random.Random(f"mixed denominators {weights}")
+    for n in range(1, 8):
+        ring = _ring(weights, n)
+        for _ in range(2):
+            classes = tuple(_random_class(rng, ring, (i,), MIXED_DENS)
+                            for i in range(1, n + 1))
+            d = ChernData(rng.randint(1, 6), classes, ring)
+            want = oracle_deltas(d)
+            assert chern_character(d) == oracle_ch(d)
+            assert higher_discriminants(d) == want
+            assert list(check_equivalence(d).deltas) == want
+
+
+def test_thirty_digit_denominators_on_the_largest_deck_ring():
+    weights, n = (1, 2, 3), 10
+    names = ["a", "b", "c"]
+    ring = GradedRing(list(zip(names, weights)), n)
+    rng = random.Random("thirty digits")
+    dens = (1, 10 ** 29 + 319, 10 ** 29 + 379)
+    classes = [_random_class(rng, ring, (i,), dens) for i in range(1, n + 1)]
+    doc = {"rank": 5, "truncation": n,
+           "generators": [[g, w] for g, w in zip(names, weights)],
+           "classes": [qpoly_str(c.terms, names) for c in classes]}
+    t0 = time.perf_counter()
+    report, code = run(RunConfig("discriminants", json.dumps(doc), None,
+                                 200000, 10, 0, "json"))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    want = oracle_deltas(ChernData(5, tuple(classes), ring))
+    assert report["delta"] == [qpoly_str(x.terms, names) for x in want]
+    assert elapsed < 1.0
+
+
+def _fraction_binomial(d):
+    """r^i c_i == binom(r, i) c_1^i for all i, on {monomial: Fraction}
+    dicts with their own product."""
+    ring, r = d.ring, d.rank
+    c1 = d.c(1).terms
+    power = c1
+    for i in range(1, ring.truncation + 1):
+        if i > 1:
+            power = _dict_mul(ring, power, c1)
+        lhs = {m: r ** i * c for m, c in d.c(i).terms.items()}
+        rhs = {m: comb(r, i) * c for m, c in power.items() if comb(r, i)}
+        if lhs != rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("weights", BENCH_WEIGHTS)
+def test_binomial_verdict_on_split_data_and_one_perturbed_coefficient(weights):
+    rng = random.Random(f"binomial {weights}")
+    for n in range(1, 7):
+        ring = _ring(weights, n)
+        for trial in range(3):
+            r = rng.randint(1, 5)
+            # r copies of one line bundle: c(E) = (1 + l)^r, the test holds;
+            # the first trial takes l = 0
+            line = (ring.zero() if trial == 0 else
+                    _random_class(rng, ring, (1,), MIXED_DENS))
+            classes = tuple(line if i == 1 else ring.zero()
+                            for i in range(1, n + 1))
+            d = whitney_sum([ChernData(1, classes, ring)] * r)
+            rep = check_equivalence(d)
+            assert rep.chern_binomial and _fraction_binomial(d)
+            assert rep.consistent
+            # one coefficient of one c_i, i >= 2, moves: the test fails;
+            # at truncation 1 only c_1 can move, and the test still holds
+            i = rng.randint(min(2, n), n)
+            block = ring.block(i)
+            k = rng.randrange(block.start, block.stop)
+            coeffs = list(d.c(i).coeffs)
+            coeffs[k] += Fraction(1, rng.choice(MIXED_DENS))
+            moved = list(d.classes)
+            moved[i - 1] = ring.from_terms(dict(zip(ring.basis, coeffs)))
+            bad = ChernData(r, tuple(moved), ring)
+            verdict = check_equivalence(bad).chern_binomial
+            assert verdict == _fraction_binomial(bad)
+            assert verdict is (n == 1)
 
 
 def test_ring_basis_and_size_bound():

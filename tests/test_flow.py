@@ -76,15 +76,23 @@ def test_simpson_two_step_second_fundamental_form():
     assert degree_and_slope(hs.higgs.bundle)[0] == 0
 
 
-def test_simpson_refines_a_nontransversal_hn():
+def test_simpson_refines_a_nontransversal_hn(monkeypatch):
     # nabla maps the top HN step straight down two levels, so the middle
     # step must absorb the image and collapse into the full module
     p = 3
     div = four_points(p)
     con = log_connection(P1Bundle.of_type(p, (1, 0, -1)), div,
                          [[0, 0, 0], [0, 0, 0], [rfun(p, div, 1), 0, 0]])
+    calls = []
+
+    def counted(c, cols, _inner=flow._nabla_image):
+        calls.append(cols)
+        return _inner(c, cols)
+    monkeypatch.setattr(flow, "_nabla_image", counted)
     rep = simpson_filtration(con)
     assert rep.status == "ok" and rep.iterations == 2
+    # one image in the scan that refines, one in the closing check
+    assert len(calls) == 2
     assert [(s.rank, s.degree) for s in rep.steps] == [(1, 1)]
     assert rep.graded.piece_ranks == (2, 1)
     assert not rep.certified
